@@ -6,10 +6,14 @@
 //! emit `BENCH_gf.json` — bytes/sec per kernel per operation (including
 //! worst-case RS(10,4) reconstruct pinned to each kernel via
 //! `kernel::with_forced`) plus RS(10,4) stripe-encode throughput — so the
-//! perf trajectory is tracked across PRs.
+//! perf trajectory is tracked across PRs. Reconstruct rebuilds only the
+//! lost shards through `drc_codes::StripeReconstructor`, as HDFS does.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 
+use drc_codes::{ErasureCode, RsCode, StripeReconstructor};
 use drc_gf::kernel::{self, Kernel};
 use drc_gf::{slice, Matrix, ReedSolomon};
 
@@ -40,33 +44,61 @@ fn bench_slice_ops(c: &mut Criterion) {
     }
 }
 
+/// A worst-case RS(`k`,`m`) stripe: the first `m` blocks (all data) are
+/// lost and the other `k` survive. Returns the code, the surviving blocks
+/// and the lost block indices.
+fn worst_case_stripe(
+    k: usize,
+    m: usize,
+    shard: usize,
+) -> (RsCode, BTreeMap<usize, Vec<u8>>, Vec<usize>) {
+    let code = RsCode::new(k, m).expect("valid parameters");
+    let data: Vec<Vec<u8>> = (0..k)
+        .map(|i| {
+            make_src(shard)
+                .iter()
+                .map(|b| b.wrapping_add(i as u8))
+                .collect()
+        })
+        .collect();
+    let coded = code.encode(&data).expect("encodes");
+    let survivors = coded.into_iter().enumerate().skip(m).collect();
+    (code, survivors, (0..m).collect())
+}
+
+/// Rebuilds only the lost blocks, as the HDFS degraded-read and repair
+/// paths do: plan with `StripeReconstructor`, then apply the coefficients.
+fn rebuild_lost(
+    code: &RsCode,
+    survivors: &BTreeMap<usize, Vec<u8>>,
+    lost: &[usize],
+    out: &mut [Vec<u8>],
+) {
+    let available: BTreeSet<usize> = survivors.keys().copied().collect();
+    let rec = StripeReconstructor::plan(code.structure(), &available, lost).expect("recoverable");
+    let sources: Vec<&[u8]> = rec
+        .sources()
+        .iter()
+        .map(|b| survivors[b].as_slice())
+        .collect();
+    rec.reconstruct_into(&sources, out);
+}
+
 fn bench_reconstruct_per_kernel(c: &mut Criterion) {
     // Worst-case RS(10,4) reconstruction (4 data shards lost) pinned to each
     // kernel in turn via `kernel::with_forced`, so BENCH_gf.json tracks
     // reconstruct throughput for every variant, not just the auto-selected
     // one. The pin is process-wide, so the pool workers the parallel split
     // engages run the pinned kernel too.
-    let rs = ReedSolomon::new(10, 4).expect("valid parameters");
     let shard = 64 * 1024;
-    let data: Vec<Vec<u8>> = (0..10u8)
-        .map(|i| make_src(shard).iter().map(|b| b.wrapping_add(i)).collect())
-        .collect();
-    let coded = rs.encode(&data).expect("encodes");
-    let present: Vec<Option<&[u8]>> = coded
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (i >= 4).then_some(s.as_slice()))
-        .collect();
+    let (code, survivors, lost) = worst_case_stripe(10, 4, shard);
     let mut group = c.benchmark_group("gf_reconstruct");
     group.throughput(Throughput::Bytes((10 * shard) as u64));
     for kern in kernel::all() {
-        let mut out = vec![vec![0u8; shard]; 14];
+        let mut out = vec![vec![0u8; shard]; lost.len()];
         group.bench_function(kern.name(), |b| {
             kernel::with_forced(kern, || {
-                b.iter(|| {
-                    rs.reconstruct_into(&present, shard, &mut out)
-                        .expect("reconstructs")
-                })
+                b.iter(|| rebuild_lost(&code, &survivors, &lost, &mut out))
             })
         });
     }
@@ -118,26 +150,12 @@ fn bench_reed_solomon(c: &mut Criterion) {
                 b.iter(|| rs.encode_into(data, &mut parity).expect("encodes"))
             },
         );
-        let coded = rs.encode(&data).expect("encodes");
-        let present: Vec<Option<&[u8]>> = coded
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (i >= m).then_some(s.as_slice()))
-            .collect();
-        group.bench_with_input(
+        let (code, survivors, lost) = worst_case_stripe(k, m, shard);
+        group.bench_function(
             BenchmarkId::new("reconstruct_worst_case", format!("rs({k},{m})")),
-            &present,
-            |b, present| b.iter(|| rs.reconstruct(present, shard).expect("reconstructs")),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("reconstruct_into_worst_case", format!("rs({k},{m})")),
-            &present,
-            |b, present| {
-                let mut out = vec![vec![0u8; shard]; k + m];
-                b.iter(|| {
-                    rs.reconstruct_into(present, shard, &mut out)
-                        .expect("reconstructs")
-                })
+            |b| {
+                let mut out = vec![vec![0u8; shard]; m];
+                b.iter(|| rebuild_lost(&code, &survivors, &lost, &mut out))
             },
         );
     }

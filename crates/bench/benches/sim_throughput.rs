@@ -7,8 +7,8 @@
 //!   HDFS-RAID write path: `StripeEncoder` over `encode_into`) at one worker
 //!   thread versus the full pool, for an RS(10,4) stripe and the GF-heavy
 //!   heptagon-local stripe,
-//! * `sim_reconstruct` — worst-case Reed–Solomon reconstruction, single vs
-//!   multi-thread,
+//! * `sim_reconstruct` — worst-case Reed–Solomon reconstruction of the lost
+//!   blocks through `StripeReconstructor`, single vs multi-thread,
 //! * `pool_dispatch` — nanoseconds per `rayon::scope` round-trip through
 //!   the persistent worker pool at widths 1/2/N, next to the per-call
 //!   `std::thread::scope` spawn the old pool paid (the baseline the pool
@@ -43,6 +43,7 @@
 //! measurement; only multi-core hosts show the real scaling.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 
 use criterion::{criterion_group, Criterion, Throughput};
@@ -52,7 +53,7 @@ use rand_chacha::ChaCha8Rng;
 use drc_cluster::{
     Cluster, ClusterSpec, GlobalBlockId, IndexKind, NodeId, PlacementMap, PlacementPolicy,
 };
-use drc_codes::{CodeKind, StripeEncoder};
+use drc_codes::{CodeKind, StripeEncoder, StripeReconstructor};
 use drc_gf::kernel;
 use drc_sim::{ClusterNet, EventQueue, SimTime};
 
@@ -184,24 +185,30 @@ fn bench_stripe_encode(c: &mut Criterion) {
 }
 
 fn bench_reconstruct(c: &mut Criterion) {
-    let rs = drc_gf::ReedSolomon::new(10, 4).expect("valid parameters");
+    // Worst case: the first 4 (data) blocks of an RS(10,4) stripe are lost
+    // and only they are rebuilt, planning included, as HDFS does.
+    let code = CodeKind::ReedSolomon {
+        data: 10,
+        parity: 4,
+    }
+    .build()
+    .expect("valid parameters");
     let data: Vec<Vec<u8>> = (0..10).map(|i| make_block(BLOCK, i)).collect();
-    let coded = rs.encode(&data).expect("encodes");
-    // Worst case: the first 4 (data) shards are lost.
-    let present: Vec<Option<&[u8]>> = coded
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (i >= 4).then_some(s.as_slice()))
-        .collect();
+    let coded = code.encode(&data).expect("encodes");
+    let available: BTreeSet<usize> = (4..14).collect();
+    let lost: Vec<usize> = (0..4).collect();
     let mut group = c.benchmark_group("sim_reconstruct/rs(10,4)");
     group.throughput(Throughput::Bytes((10 * BLOCK) as u64));
     for threads in thread_points() {
-        let mut out = vec![vec![0u8; BLOCK]; 14];
+        let mut out = vec![vec![0u8; BLOCK]; lost.len()];
         group.bench_function(format!("threads={threads}"), |b| {
             rayon::with_num_threads(threads, || {
                 b.iter(|| {
-                    rs.reconstruct_into(&present, BLOCK, &mut out)
-                        .expect("reconstructs")
+                    let rec = StripeReconstructor::plan(code.structure(), &available, &lost)
+                        .expect("recoverable");
+                    let sources: Vec<&[u8]> =
+                        rec.sources().iter().map(|&s| coded[s].as_slice()).collect();
+                    rec.reconstruct_into(&sources, &mut out)
                 })
             })
         });

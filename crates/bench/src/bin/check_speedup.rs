@@ -62,7 +62,7 @@ const HARD_GATE_MIN_CPUS: usize = 8;
 
 /// The stripe-encode entries of `parallel_speedup` the gate checks
 /// (`reconstruct_rs_10_4` is recorded but not gated: reconstruction spends
-/// part of its time in serial matrix inversion).
+/// part of its time in the serial planning solve).
 const GATED: &[&str] = &["rs_10_4", "heptagon_local"];
 
 fn main() {

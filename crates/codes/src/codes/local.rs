@@ -681,7 +681,8 @@ mod tests {
                     continue;
                 }
                 let payloads: Vec<&[u8]> = combines.iter().map(|&b| coded[b].as_slice()).collect();
-                crate::repair::combine_partial_parity_into(row, combines, &payloads, &mut partial);
+                let coeffs: Vec<_> = combines.iter().map(|&b| row[b]).collect();
+                drc_gf::slice::linear_combination_into(&coeffs, &payloads, &mut partial);
                 drc_gf::slice::xor_assign(&mut rebuilt, &partial);
             }
             assert_eq!(

@@ -12,11 +12,11 @@
 //!    node are *array codes* — the property that drives the data-locality
 //!    findings of the paper.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
 
-use drc_gf::Matrix;
+use drc_gf::{Gf256, Matrix};
 
 use crate::CodeError;
 
@@ -245,76 +245,46 @@ impl CodeStructure {
         self.layout.stored_blocks() as f64 / self.data_blocks as f64
     }
 
-    /// Decodes the `k` data blocks from the distinct blocks that are
-    /// available, by solving the linear system given by the generator rows.
+    /// Greedily picks, in ascending block order, up to `k` of `candidates`
+    /// whose generator rows are linearly independent: a block is kept iff
+    /// its row lies outside the span of the rows kept before it. Data blocks
+    /// have the lowest indices, so surviving data is preferred over parity.
     ///
-    /// `available` maps distinct-block index to its content; `block_len` is
-    /// the common block length.
+    /// One incremental elimination pass: every kept row is stored reduced
+    /// against the earlier ones with a unit pivot, so testing a candidate
+    /// costs `O(k²)` rather than a fresh rank computation.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Returns [`CodeError::Unrecoverable`] if the available rows do not span
-    /// the data space, and other variants for malformed input.
-    pub fn decode(
-        &self,
-        available: &BTreeMap<usize, Vec<u8>>,
-        block_len: usize,
-    ) -> Result<Vec<Vec<u8>>, CodeError> {
+    /// Panics if a candidate is not a distinct block of the stripe.
+    pub(crate) fn independent_blocks(&self, candidates: &BTreeSet<usize>) -> Vec<usize> {
         let k = self.data_blocks;
-        for (&b, content) in available {
-            if b >= self.layout.distinct_blocks() {
-                return Err(CodeError::IndexOutOfRange {
-                    what: "distinct block",
-                    index: b,
-                    limit: self.layout.distinct_blocks(),
-                });
-            }
-            if content.len() != block_len {
-                return Err(CodeError::UnequalBlockLengths);
-            }
-        }
-        // Fast path: all data blocks directly available.
-        if (0..k).all(|b| available.contains_key(&b)) {
-            return Ok((0..k).map(|b| available[&b].clone()).collect());
-        }
-        // Select k available rows that form an invertible matrix. Greedy by
-        // preferring data rows (identity rows) first keeps the system small.
-        let mut chosen: Vec<usize> = Vec::with_capacity(k);
-        let mut candidates: Vec<usize> = available.keys().copied().collect();
-        candidates.sort_unstable();
-        // Data rows first, then parity rows.
-        candidates.sort_by_key(|&b| if b < k { 0 } else { 1 });
-        for &b in &candidates {
+        let mut chosen = Vec::with_capacity(k);
+        let mut basis: Vec<(usize, Vec<Gf256>)> = Vec::with_capacity(k);
+        for &b in candidates {
             if chosen.len() == k {
                 break;
             }
-            chosen.push(b);
-            let sub = self.generator.select_rows(&chosen);
-            if sub.rank() != chosen.len() {
-                chosen.pop();
+            let mut row = self.generator.row(b).to_vec();
+            for (pivot, kept) in &basis {
+                let f = row[*pivot];
+                if f != Gf256::ZERO {
+                    for (x, &y) in row.iter_mut().zip(kept) {
+                        *x += f * y;
+                    }
+                }
             }
+            let Some(pivot) = row.iter().position(|&x| x != Gf256::ZERO) else {
+                continue;
+            };
+            let inv = row[pivot].inv();
+            for x in row.iter_mut() {
+                *x *= inv;
+            }
+            basis.push((pivot, row));
+            chosen.push(b);
         }
-        if chosen.len() < k {
-            return Err(CodeError::Unrecoverable {
-                detail: format!(
-                    "available blocks span only {} of {} data dimensions",
-                    chosen.len(),
-                    k
-                ),
-            });
-        }
-        let sub = self.generator.select_rows(&chosen);
-        let decode = sub.inverse().map_err(CodeError::from)?;
-        let chosen_blocks: Vec<&[u8]> = chosen.iter().map(|b| available[b].as_slice()).collect();
-        let mut out = Vec::with_capacity(k);
-        for row in 0..k {
-            out.push(drc_gf::slice::linear_combination(
-                decode.row(row),
-                &chosen_blocks,
-                block_len,
-            ));
-        }
-        Ok(out)
+        chosen
     }
 
     /// Returns `true` if the given set of available distinct blocks determines
@@ -339,7 +309,18 @@ impl CodeStructure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drc_gf::Gf256;
+    use crate::{CodeKind, ErasureCode};
+    use std::collections::BTreeMap;
+
+    /// The toy structure as a code, for the trait's default `decode`.
+    #[derive(Debug)]
+    struct Toy(CodeStructure);
+
+    impl ErasureCode for Toy {
+        fn structure(&self) -> &CodeStructure {
+            &self.0
+        }
+    }
 
     fn simple_structure() -> CodeStructure {
         // k = 2 data blocks, one XOR parity, spread over 3 nodes (1 block each).
@@ -409,7 +390,7 @@ mod tests {
 
     #[test]
     fn decode_from_parity() {
-        let s = simple_structure();
+        let s = Toy(simple_structure());
         let d0 = vec![1u8, 2, 3];
         let d1 = vec![9u8, 8, 7];
         let parity: Vec<u8> = d0.iter().zip(&d1).map(|(a, b)| a ^ b).collect();
@@ -424,7 +405,7 @@ mod tests {
 
     #[test]
     fn decode_error_cases() {
-        let s = simple_structure();
+        let s = Toy(simple_structure());
         let mut available = BTreeMap::new();
         available.insert(1, vec![0u8; 3]);
         assert!(matches!(
@@ -454,6 +435,40 @@ mod tests {
         assert!(s.recoverable_from_blocks(&[1, 2].into_iter().collect()));
         assert!(!s.recoverable_from_blocks(&[2].into_iter().collect()));
         assert!(!s.recoverable_from_blocks(&BTreeSet::new()));
+    }
+
+    /// The incremental chooser keeps exactly the blocks a rank test of each
+    /// growing prefix keeps, over every subset of distinct blocks of the
+    /// pentagon and RS(6,3) stripes.
+    #[test]
+    fn independent_blocks_match_prefix_rank_selection() {
+        for kind in [
+            CodeKind::Pentagon,
+            CodeKind::ReedSolomon { data: 6, parity: 3 },
+        ] {
+            let code = kind.build().unwrap();
+            let s = code.structure();
+            let distinct = code.distinct_blocks();
+            for mask in 0u32..1 << distinct {
+                let candidates: BTreeSet<usize> =
+                    (0..distinct).filter(|b| mask >> b & 1 == 1).collect();
+                let mut expected: Vec<usize> = Vec::new();
+                for &b in &candidates {
+                    if expected.len() == s.data_blocks {
+                        break;
+                    }
+                    expected.push(b);
+                    if s.generator.select_rows(&expected).rank() != expected.len() {
+                        expected.pop();
+                    }
+                }
+                assert_eq!(
+                    s.independent_blocks(&candidates),
+                    expected,
+                    "{kind} {mask:#b}"
+                );
+            }
+        }
     }
 
     #[test]

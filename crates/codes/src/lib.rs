@@ -14,7 +14,8 @@
 //!   placement, locality and reliability analyses,
 //! * `encode` / `decode` over real block payloads, plus the zero-allocation
 //!   [`ErasureCode::encode_into`] fast path and the buffer-reusing
-//!   [`StripeEncoder`] built on it,
+//!   [`StripeEncoder`] built on it; `decode` and every HDFS rebuild run on
+//!   the one reconstruction engine, [`StripeReconstructor`],
 //! * failure analysis (`can_recover`, `fault_tolerance`,
 //!   `count_fatal_patterns`), and
 //! * repair and degraded-read *plans* whose network cost is measured in
@@ -61,7 +62,5 @@ pub use error::CodeError;
 pub use layout::{CodeStructure, NodeLayout};
 pub use reconstruct::StripeReconstructor;
 pub use registry::CodeKind;
-pub use repair::{
-    combine_partial_parity_into, ReadPlan, ReadSource, RepairPlan, Transfer, TransferPayload,
-};
+pub use repair::{ReadPlan, ReadSource, RepairPlan, Transfer, TransferPayload};
 pub use traits::{encode_parities_into, ErasureCode};

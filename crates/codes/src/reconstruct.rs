@@ -2,20 +2,20 @@
 //! (data *or* parity) as linear combinations of whichever distinct blocks
 //! survive, without materialising the whole decoded stripe.
 //!
-//! [`CodeStructure::decode`] answers "give me every data block", which the
-//! repair path then re-encodes to regenerate lost parities — O(stripe) of
-//! compute and buffers even when a single block is missing.
-//! [`StripeReconstructor`] instead solves, once per failure pattern, for a
-//! small coefficient matrix `C` with `target_rows = C · source_rows` over
-//! the code's generator, and then applies `C` to the surviving payloads —
-//! streamable over any byte sub-range of the blocks, which is what the
-//! HDFS chunked repair pipeline feeds to the worker pool in cross-stripe
-//! batches ([`drc_gf::slice::matrix_mul_batch`]).
+//! [`StripeReconstructor`] is the workspace's one decoder. It solves, once
+//! per failure pattern, for a small coefficient matrix `C` with
+//! `target_rows = C · source_rows` over the code's generator, and then
+//! applies `C` to the surviving payloads — streamable over any byte
+//! sub-range of the blocks. [`crate::ErasureCode::decode`] plans the missing
+//! data blocks with it; the HDFS degraded-read path plans the one block a
+//! reader asked for; the HDFS chunked repair pipeline plans every fully-lost
+//! block, data or parity, and feeds the worker pool cross-stripe batches
+//! ([`drc_gf::slice::matrix_mul_batch`]).
 //!
-//! The source selection mirrors `decode`'s greedy chooser (ascending,
-//! data rows first) so the blocks it reads are the blocks a decode would
-//! have read; the outputs are byte-identical because exact GF(2^8) linear
-//! algebra has a unique answer for every recoverable pattern.
+//! Sources are chosen greedily, ascending with data rows first, so a plan
+//! reads surviving data blocks before parities. Exact GF(2^8) linear algebra
+//! has a unique answer for every recoverable pattern, so the choice of
+//! sources never changes the rebuilt bytes.
 
 use std::collections::BTreeSet;
 
@@ -59,21 +59,10 @@ impl StripeReconstructor {
                 });
             }
         }
-        // Greedy independent source selection, in decode's order: ascending
-        // with data (identity) rows first keeps the solved system small and
-        // the read set identical to what a full decode would fetch.
-        let mut candidates: Vec<usize> = available.iter().copied().collect();
-        candidates.sort_by_key(|&b| (b >= k, b));
-        let mut sources: Vec<usize> = Vec::with_capacity(k);
-        for &b in &candidates {
-            if sources.len() == k {
-                break;
-            }
-            sources.push(b);
-            if structure.generator.select_rows(&sources).rank() != sources.len() {
-                sources.pop();
-            }
-        }
+        // Greedy independent source selection: data (identity) rows come
+        // first, which keeps the solved system small and reads surviving
+        // data blocks before parities.
+        let sources = structure.independent_blocks(available);
         // Solve C · G[sources] = G[targets] by Gauss–Jordan on the
         // transposed augmented system: columns are the k generator
         // coordinates, unknowns are one coefficient row per target.
@@ -314,9 +303,8 @@ mod tests {
         }
     }
 
-    /// The source selection mirrors decode's: a full decode from the same
-    /// available set reads exactly the reconstructor's sources (plus the
-    /// data rows it returns directly).
+    /// A target outside the span of the available blocks is a typed
+    /// `Unrecoverable` error at planning time, before any bytes move.
     #[test]
     fn unavailable_target_is_unrecoverable() {
         let code = CodeKind::TWO_REP.build().unwrap();
@@ -326,10 +314,11 @@ mod tests {
         assert!(matches!(err, CodeError::Unrecoverable { .. }), "{err}");
     }
 
-    /// Against the oracle: targeted reconstruction agrees with the full
-    /// decode on every data block it is asked for.
+    /// Against the original data: two lost data blocks of a Reed–Solomon
+    /// stripe rebuild to exactly the bytes that were encoded, and `decode`
+    /// returns the original data.
     #[test]
-    fn agrees_with_full_decode() {
+    fn rebuilt_data_blocks_equal_the_original_data() {
         let len = 256;
         // A Reed–Solomon stripe can afford to lose two distinct blocks;
         // the polygon codes only carry one parity among their distinct
@@ -337,21 +326,17 @@ mod tests {
         let code = CodeKind::ReedSolomon { data: 6, parity: 3 }
             .build()
             .unwrap();
-        let s = code.structure();
         let k = code.data_blocks();
         let data: Vec<Vec<u8>> = (0..k).map(|b| sample_block(len, b)).collect();
         let coded = code.encode(&data).unwrap();
         // Drop data blocks 0 and 3.
-        let mut payloads: BTreeMap<usize, Vec<u8>> = BTreeMap::new();
-        for (b, payload) in coded.iter().enumerate() {
-            if b == 0 || b == 3 {
-                continue;
-            }
-            payloads.insert(b, payload.clone());
-        }
-        let decoded = s.decode(&payloads, len).unwrap();
+        let payloads: BTreeMap<usize, Vec<u8>> = coded
+            .into_iter()
+            .enumerate()
+            .filter(|&(b, _)| b != 0 && b != 3)
+            .collect();
         let available: BTreeSet<usize> = payloads.keys().copied().collect();
-        let rec = StripeReconstructor::plan(s, &available, &[0, 3]).unwrap();
+        let rec = StripeReconstructor::plan(code.structure(), &available, &[0, 3]).unwrap();
         let sources: Vec<&[u8]> = rec
             .sources()
             .iter()
@@ -359,7 +344,8 @@ mod tests {
             .collect();
         let mut outs = vec![vec![0u8; len]; 2];
         rec.reconstruct_into(&sources, &mut outs);
-        assert_eq!(outs[0], decoded[0]);
-        assert_eq!(outs[1], decoded[3]);
+        assert_eq!(outs[0], data[0]);
+        assert_eq!(outs[1], data[3]);
+        assert_eq!(code.decode(&payloads, len).unwrap(), data);
     }
 }

@@ -12,8 +12,6 @@ use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
 
-use drc_gf::{slice, Gf256};
-
 /// One network transfer performed during repair.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Transfer {
@@ -84,52 +82,6 @@ impl RepairPlan {
             .filter(|t| !self.failed_nodes.contains(&t.from_node))
             .map(|t| t.from_node)
             .collect()
-    }
-}
-
-/// Computes the payload of a [`TransferPayload::PartialParity`] transfer
-/// into a caller-owned buffer.
-///
-/// A helper node rebuilding distinct block `t` sends the GF-weighted partial
-/// sum of the data blocks it holds: `out = sum_j target_row[combines[j]] *
-/// payloads[j]`, where `target_row` is row `t` of the code's generator
-/// matrix. For the pentagon/heptagon XOR parities every weight is 1 and this
-/// degenerates to the plain XOR of §2.1; for the heptagon-local global
-/// parities the weights are the RAID-6-style coefficients of §2.2.
-///
-/// The combination bottoms out in [`slice::linear_combination_into`], so
-/// block-sized payloads are split across the workspace worker pool with
-/// results byte-identical to a single-threaded run; the coefficient lookup
-/// stays on the stack for every realistic stripe width, keeping the serial
-/// path free of heap allocation.
-///
-/// # Panics
-///
-/// Panics if `combines` and `payloads` have different lengths, any combined
-/// index has no column in `target_row`, or payload lengths differ from
-/// `out.len()`.
-pub fn combine_partial_parity_into(
-    target_row: &[Gf256],
-    combines: &[usize],
-    payloads: &[&[u8]],
-    out: &mut [u8],
-) {
-    assert_eq!(
-        combines.len(),
-        payloads.len(),
-        "one payload per combined block is required"
-    );
-    // Widest real stripe: heptagon-local with 44 distinct blocks.
-    const STACK_COEFFS: usize = 64;
-    if combines.len() <= STACK_COEFFS {
-        let mut coeffs = [Gf256::ZERO; STACK_COEFFS];
-        for (c, &block) in coeffs.iter_mut().zip(combines) {
-            *c = target_row[block];
-        }
-        slice::linear_combination_into(&coeffs[..combines.len()], payloads, out);
-    } else {
-        let coeffs: Vec<Gf256> = combines.iter().map(|&b| target_row[b]).collect();
-        slice::linear_combination_into(&coeffs, payloads, out);
     }
 }
 

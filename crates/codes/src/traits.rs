@@ -16,6 +16,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use drc_gf::slice;
 
 use crate::layout::CodeStructure;
+use crate::reconstruct::StripeReconstructor;
 use crate::repair::{ReadPlan, ReadSource, RepairPlan, Transfer, TransferPayload};
 use crate::CodeError;
 
@@ -126,16 +127,49 @@ pub trait ErasureCode: std::fmt::Debug + Send + Sync {
     /// Decodes the `k` data blocks from whatever distinct blocks are
     /// available.
     ///
+    /// `available` maps distinct-block index to its content; `block_len` is
+    /// the common block length. Present data blocks are copied; the missing
+    /// ones are rebuilt by one [`StripeReconstructor`] — the same engine the
+    /// HDFS degraded-read and repair paths run.
+    ///
     /// # Errors
     ///
-    /// Returns [`CodeError::Unrecoverable`] if the available blocks do not
-    /// determine the data, and other variants for malformed input.
+    /// Returns [`CodeError::UnequalBlockLengths`] if a block is not
+    /// `block_len` long, [`CodeError::IndexOutOfRange`] for a block index
+    /// beyond the stripe, and [`CodeError::Unrecoverable`] if the available
+    /// blocks do not determine the data.
     fn decode(
         &self,
         available: &BTreeMap<usize, Vec<u8>>,
         block_len: usize,
     ) -> Result<Vec<Vec<u8>>, CodeError> {
-        self.structure().decode(available, block_len)
+        if available.values().any(|b| b.len() != block_len) {
+            return Err(CodeError::UnequalBlockLengths);
+        }
+        let k = self.data_blocks();
+        let keys: BTreeSet<usize> = available.keys().copied().collect();
+        let missing: Vec<usize> = (0..k).filter(|b| !keys.contains(b)).collect();
+        let rec = StripeReconstructor::plan(self.structure(), &keys, &missing)?;
+        let sources: Vec<&[u8]> = rec
+            .sources()
+            .iter()
+            .map(|b| available[b].as_slice())
+            .collect();
+        let mut data: Vec<Vec<u8>> = (0..k)
+            .map(|b| {
+                available
+                    .get(&b)
+                    .cloned()
+                    .unwrap_or_else(|| vec![0; block_len])
+            })
+            .collect();
+        let mut rebuilt: Vec<&mut Vec<u8>> = data
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(b, block)| (!keys.contains(&b)).then_some(block))
+            .collect();
+        rec.reconstruct_into(&sources, &mut rebuilt);
+        Ok(data)
     }
 
     /// Returns `true` if the data survives the loss of `failed_nodes`
@@ -378,18 +412,7 @@ pub(crate) fn generic_repair_plan<C: ErasureCode + ?Sized>(
                 detail: "fully-lost blocks reported without any failed node".to_string(),
             })?;
         let s = code.structure();
-        let surviving = layout.surviving_blocks(failed_nodes);
-        // Greedily pick independent generator rows among survivors.
-        let mut chosen: Vec<usize> = Vec::new();
-        for &b in &surviving {
-            if chosen.len() == s.data_blocks {
-                break;
-            }
-            chosen.push(b);
-            if s.generator.select_rows(&chosen).rank() != chosen.len() {
-                chosen.pop();
-            }
-        }
+        let chosen = s.independent_blocks(&layout.surviving_blocks(failed_nodes));
         debug_assert_eq!(chosen.len(), s.data_blocks, "can_recover guaranteed rank k");
         for &block in &chosen {
             let source = *layout
@@ -465,16 +488,7 @@ pub(crate) fn generic_degraded_read_plan<C: ErasureCode + ?Sized>(
             ),
         });
     }
-    let mut chosen: Vec<usize> = Vec::new();
-    for &b in &surviving {
-        if chosen.len() == s.data_blocks {
-            break;
-        }
-        chosen.push(b);
-        if s.generator.select_rows(&chosen).rank() != chosen.len() {
-            chosen.pop();
-        }
-    }
+    let chosen = s.independent_blocks(&surviving);
     let mut fetches: Vec<(usize, usize)> = Vec::with_capacity(chosen.len());
     for &b in &chosen {
         let node = *layout

@@ -5,7 +5,7 @@
 
 use std::collections::BTreeSet;
 
-use drc_codes::{combine_partial_parity_into, CodeKind, TransferPayload};
+use drc_codes::{CodeKind, TransferPayload};
 use drc_gf::{slice, Gf256};
 
 /// All node subsets of `0..n` with 1..=r elements.
@@ -83,13 +83,14 @@ fn partial_parity_repair_is_thread_count_invariant_for_all_patterns() {
         );
         for (combines, target) in &partials {
             let inputs: Vec<&[u8]> = combines.iter().map(|&b| blocks[b].as_slice()).collect();
+            let coeffs: Vec<Gf256> = combines.iter().map(|&b| weights[b]).collect();
             let mut serial = vec![0u8; len];
             rayon::with_num_threads(1, || {
-                combine_partial_parity_into(&weights, combines, &inputs, &mut serial)
+                slice::linear_combination_into(&coeffs, &inputs, &mut serial)
             });
             let mut parallel = vec![0xeeu8; len];
             rayon::with_num_threads(4, || {
-                combine_partial_parity_into(&weights, combines, &inputs, &mut parallel)
+                slice::linear_combination_into(&coeffs, &inputs, &mut parallel)
             });
             // Cross-check against the direct definition of the sum.
             let mut expect = vec![0u8; len];

@@ -31,13 +31,6 @@ pub enum GfError {
     },
     /// Shards passed to a single call did not all have the same length.
     UnequalShardLengths,
-    /// Too few shards survive to reconstruct the original data.
-    TooFewShards {
-        /// Number of shards required for reconstruction.
-        needed: usize,
-        /// Number of shards that were actually present.
-        present: usize,
-    },
     /// Interpolation was requested through points with duplicate x-coordinates.
     DuplicateInterpolationPoint,
 }
@@ -58,12 +51,6 @@ impl fmt::Display for GfError {
                 write!(f, "expected {expected} shards, found {found}")
             }
             GfError::UnequalShardLengths => write!(f, "shards have unequal lengths"),
-            GfError::TooFewShards { needed, present } => {
-                write!(
-                    f,
-                    "too few shards to reconstruct: need {needed}, have {present}"
-                )
-            }
             GfError::DuplicateInterpolationPoint => {
                 write!(f, "duplicate x-coordinate in interpolation points")
             }
@@ -88,10 +75,6 @@ mod tests {
             GfError::WrongShardCount {
                 expected: 3,
                 found: 2,
-            },
-            GfError::TooFewShards {
-                needed: 4,
-                present: 2,
             },
             GfError::DimensionMismatch {
                 expected: "3x3".into(),

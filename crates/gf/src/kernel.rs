@@ -9,27 +9,25 @@
 //! | name | lane width | technique | available |
 //! |---|---|---|---|
 //! | `gfni` | 64 B | `gf2p8affineqb` with per-coefficient 8×8 bit-matrices | x86-64 with GFNI + AVX-512F |
-//! | `vbmi` | 64 B | split-nibble `vpermb` table lookups | x86-64 with AVX-512VBMI |
 //! | `avx2` | 32 B | split-nibble `vpshufb` table lookups | x86-64 with AVX2 |
 //! | `ssse3` | 16 B | split-nibble `pshufb` table lookups | x86-64 with SSSE3 |
 //! | `neon` | 16 B | split-nibble `tbl` lookups | aarch64 (always) |
 //! | `wide` | 8 B xor / 1 B mul | `u64` XOR lanes + per-coefficient 256-byte product row | everywhere |
 //! | `reference` | 1 B | branch-free log/antilog scalar | everywhere |
 //!
-//! The dispatch tier order is `gfni > vbmi > avx2 > ssse3 > wide >
-//! reference` (`neon` slots between `ssse3` and `wide` on aarch64): the GFNI
-//! kernel computes a whole 64-byte product in **one** `gf2p8affineqb`
-//! instruction — constant-multiplication in GF(2^8) is GF(2)-linear, so it
-//! is an 8×8 bit-matrix applied per byte, which also side-steps
-//! `gf2p8mulb`'s hard-wired AES polynomial (0x11b, not our 0x11d) — while
-//! the VBMI kernel is the familiar split-nibble lookup widened to 64-byte
-//! lanes via `vpermb`.
+//! The dispatch tier order is `gfni > avx2 > ssse3 > wide > reference`
+//! (`neon` slots between `ssse3` and `wide` on aarch64): the GFNI kernel
+//! computes a whole 64-byte product in **one** `gf2p8affineqb` instruction —
+//! constant-multiplication in GF(2^8) is GF(2)-linear, so it is an 8×8
+//! bit-matrix applied per byte, which also side-steps `gf2p8mulb`'s
+//! hard-wired AES polynomial (0x11b, not our 0x11d). AVX-512 hosts without
+//! GFNI run the `avx2` split-nibble kernel.
 //!
 //! [`active`] picks the widest kernel the CPU supports **once** (cached in an
 //! atomic) so steady-state dispatch is a single relaxed load plus an indirect
 //! call per bulk operation — amortised over whole blocks, not per byte. The
 //! `DRC_GF_KERNEL` environment variable
-//! (`gfni|vbmi|avx2|ssse3|neon|wide|reference`) pins the choice for
+//! (`gfni|avx2|ssse3|neon|wide|reference`) pins the choice for
 //! benchmarks and differential tests; a name that no kernel runnable on this
 //! host carries falls back to auto-detection **with a one-time stderr
 //! warning** naming the valid set, so a typo cannot silently benchmark the
@@ -50,7 +48,7 @@
 //! unsafe block is one of exactly two shapes:
 //!
 //! 1. **ISA intrinsics behind verified CPU support.** The `target_feature`
-//!    functions (`*_gfni`, `*_vbmi`, `*_avx512`, `*_avx2`, `*_ssse3`) are
+//!    functions (`*_gfni`, `*_avx512`, `*_avx2`, `*_ssse3`) are
 //!    only ever reachable through a [`Kernel`] whose constructor site is
 //!    guarded by `is_x86_feature_detected!`; the NEON path compiles only on
 //!    aarch64 where NEON is part of the baseline ISA. Calling them is
@@ -82,8 +80,8 @@ pub struct Kernel {
 }
 
 impl Kernel {
-    /// The kernel's name (`gfni`, `vbmi`, `avx2`, `ssse3`, `neon`, `wide`
-    /// or `reference`).
+    /// The kernel's name (`gfni`, `avx2`, `ssse3`, `neon`, `wide` or
+    /// `reference`).
     pub fn name(&self) -> &'static str {
         self.name
     }
@@ -403,15 +401,12 @@ mod x86 {
     };
 
     // -----------------------------------------------------------------------
-    // AVX-512 tiers: 64-byte lanes.
+    // AVX-512 tier: 64-byte lanes.
     //
     // `gfni` applies the per-coefficient 8×8 bit-matrix from `TABLES.gfni`
     // with one `gf2p8affineqb` per lane (the matrix route is mandatory: the
     // dedicated `gf2p8mulb` multiplier is hard-wired to the AES polynomial
-    // 0x11b, not this field's 0x11d). `vbmi` is the split-nibble lookup
-    // widened to 64 bytes with `vpermb`; the nibble values are < 16, so the
-    // 16-entry tables broadcast into a zmm serve as 64-entry `vpermb` tables
-    // whose upper replicas are simply never distinguished.
+    // 0x11b, not this field's 0x11d).
     // -----------------------------------------------------------------------
 
     /// # Safety
@@ -493,7 +488,7 @@ mod x86 {
     }
 
     fn xor_assign_avx512(dst: &mut [u8], src: &[u8]) {
-        // SAFETY: both registration sites (gfni, vbmi) verify avx512f;
+        // SAFETY: its only registration site (gfni) verifies avx512f;
         // lengths checked by the wrapper.
         unsafe { xor_assign_avx512_impl(dst, src) }
     }
@@ -503,92 +498,6 @@ mod x86 {
         xor_assign: xor_assign_avx512,
         scale_assign: scale_assign_gfni,
         mul_acc: mul_acc_gfni,
-    };
-
-    /// # Safety
-    ///
-    /// Caller must ensure AVX-512VBMI + AVX-512F are available and
-    /// `dst.len() == src.len()`.
-    #[target_feature(enable = "avx512vbmi,avx512f")]
-    unsafe fn mul_acc_vbmi_impl(dst: &mut [u8], src: &[u8], coeff: u8) {
-        // SAFETY: the caller upholds this fn's `# Safety` contract (the
-        // required CPU feature is enabled, lengths match); all pointer
-        // arithmetic below stays inside the slices' bounds.
-        unsafe {
-            let lo_tbl = _mm512_broadcast_i32x4(_mm_loadu_si128(
-                TABLES.nib_lo[coeff as usize].as_ptr() as *const __m128i,
-            ));
-            let hi_tbl = _mm512_broadcast_i32x4(_mm_loadu_si128(
-                TABLES.nib_hi[coeff as usize].as_ptr() as *const __m128i,
-            ));
-            let mask = _mm512_set1_epi8(0x0f);
-            let lanes = dst.len() / 64;
-            let d_ptr = dst.as_mut_ptr();
-            let s_ptr = src.as_ptr();
-            for i in 0..lanes {
-                let s = _mm512_loadu_si512(s_ptr.add(i * 64) as *const _);
-                let lo = _mm512_and_si512(s, mask);
-                let hi = _mm512_and_si512(_mm512_srli_epi64::<4>(s), mask);
-                let prod = _mm512_xor_si512(
-                    _mm512_permutexvar_epi8(lo, lo_tbl),
-                    _mm512_permutexvar_epi8(hi, hi_tbl),
-                );
-                let d = _mm512_loadu_si512(d_ptr.add(i * 64) as *const _);
-                _mm512_storeu_si512(d_ptr.add(i * 64) as *mut _, _mm512_xor_si512(d, prod));
-            }
-            mul_acc_wide(&mut dst[lanes * 64..], &src[lanes * 64..], coeff);
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Caller must ensure AVX-512VBMI + AVX-512F are available.
-    #[target_feature(enable = "avx512vbmi,avx512f")]
-    unsafe fn scale_assign_vbmi_impl(dst: &mut [u8], coeff: u8) {
-        // SAFETY: the caller upholds this fn's `# Safety` contract (the
-        // required CPU feature is enabled, lengths match); all pointer
-        // arithmetic below stays inside the slices' bounds.
-        unsafe {
-            let lo_tbl = _mm512_broadcast_i32x4(_mm_loadu_si128(
-                TABLES.nib_lo[coeff as usize].as_ptr() as *const __m128i,
-            ));
-            let hi_tbl = _mm512_broadcast_i32x4(_mm_loadu_si128(
-                TABLES.nib_hi[coeff as usize].as_ptr() as *const __m128i,
-            ));
-            let mask = _mm512_set1_epi8(0x0f);
-            let lanes = dst.len() / 64;
-            let d_ptr = dst.as_mut_ptr();
-            for i in 0..lanes {
-                let d = _mm512_loadu_si512(d_ptr.add(i * 64) as *const _);
-                let lo = _mm512_and_si512(d, mask);
-                let hi = _mm512_and_si512(_mm512_srli_epi64::<4>(d), mask);
-                let prod = _mm512_xor_si512(
-                    _mm512_permutexvar_epi8(lo, lo_tbl),
-                    _mm512_permutexvar_epi8(hi, hi_tbl),
-                );
-                _mm512_storeu_si512(d_ptr.add(i * 64) as *mut _, prod);
-            }
-            scale_assign_wide(&mut dst[lanes * 64..], coeff);
-        }
-    }
-
-    fn mul_acc_vbmi(dst: &mut [u8], src: &[u8], coeff: u8) {
-        // SAFETY: this kernel is only registered after
-        // `is_x86_feature_detected!("avx512vbmi")` + `("avx512f")`; lengths
-        // checked by the wrapper.
-        unsafe { mul_acc_vbmi_impl(dst, src, coeff) }
-    }
-
-    fn scale_assign_vbmi(dst: &mut [u8], coeff: u8) {
-        // SAFETY: as above.
-        unsafe { scale_assign_vbmi_impl(dst, coeff) }
-    }
-
-    pub(super) static VBMI: Kernel = Kernel {
-        name: "vbmi",
-        xor_assign: xor_assign_avx512,
-        scale_assign: scale_assign_vbmi,
-        mul_acc: mul_acc_vbmi,
     };
 }
 
@@ -675,8 +584,8 @@ mod arm {
 // ---------------------------------------------------------------------------
 
 /// Every kernel the current host can execute, widest first
-/// (`gfni > vbmi > avx2 > ssse3 > wide > reference`; `neon` between `ssse3`
-/// and `wide` on aarch64).
+/// (`gfni > avx2 > ssse3 > wide > reference`; `neon` between `ssse3` and
+/// `wide` on aarch64).
 pub fn all() -> Vec<&'static Kernel> {
     let mut kernels: Vec<&'static Kernel> = Vec::new();
     #[cfg(target_arch = "x86_64")]
@@ -685,11 +594,6 @@ pub fn all() -> Vec<&'static Kernel> {
             && std::arch::is_x86_feature_detected!("avx512f")
         {
             kernels.push(&x86::GFNI);
-        }
-        if std::arch::is_x86_feature_detected!("avx512vbmi")
-            && std::arch::is_x86_feature_detected!("avx512f")
-        {
-            kernels.push(&x86::VBMI);
         }
         if std::arch::is_x86_feature_detected!("avx2") {
             kernels.push(&x86::AVX2);
@@ -792,12 +696,11 @@ mod tests {
         // Relative tier order of whatever SIMD tiers the host offers.
         let tier = |n: &str| match n {
             "gfni" => 0,
-            "vbmi" => 1,
-            "avx2" => 2,
-            "ssse3" => 3,
-            "neon" => 4,
-            "wide" => 5,
-            "reference" => 6,
+            "avx2" => 1,
+            "ssse3" => 2,
+            "neon" => 3,
+            "wide" => 4,
+            "reference" => 5,
             other => panic!("unexpected kernel {other}"),
         };
         for pair in names.windows(2) {
@@ -807,17 +710,12 @@ mod tests {
 
     #[cfg(target_arch = "x86_64")]
     #[test]
-    fn avx512_tiers_register_on_supporting_hosts() {
+    fn gfni_tier_registers_on_supporting_hosts() {
         let names: Vec<&str> = all().iter().map(|k| k.name()).collect();
         if std::arch::is_x86_feature_detected!("gfni")
             && std::arch::is_x86_feature_detected!("avx512f")
         {
             assert_eq!(names[0], "gfni", "gfni host must dispatch-select gfni");
-        }
-        if std::arch::is_x86_feature_detected!("avx512vbmi")
-            && std::arch::is_x86_feature_detected!("avx512f")
-        {
-            assert!(names.contains(&"vbmi"), "vbmi host must list vbmi");
         }
     }
 

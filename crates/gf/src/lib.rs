@@ -26,10 +26,9 @@
 //! `gf2p8affineqb` per 64-byte lane; elsewhere, split-nibble lookups — for a
 //! coefficient `c`, the products of `c` with all 16 low nibbles and all 16
 //! high nibbles are precomputed (at compile time, for every `c`) into two
-//! 16-byte tables, so a single `vpermb`/`pshufb`/`tbl` instruction
-//! multiplies 16–64 bytes at once; see the `tables` internals and
-//! [`kernel`] for the exact variants (GFNI, AVX-512VBMI, AVX2, SSSE3, NEON,
-//! portable wide-scalar, reference). The widest kernel the CPU supports is
+//! 16-byte tables, so a single `pshufb`/`tbl` instruction multiplies 16–32
+//! bytes at once; see the `tables` internals and [`kernel`] for the exact
+//! variants (GFNI, AVX2, SSSE3, NEON, portable wide-scalar, reference). The widest kernel the CPU supports is
 //! detected **once** per process via `is_x86_feature_detected!` and cached;
 //! everything in [`mod@slice`] then dispatches through two function-pointer
 //! loads per *block-sized* call.
@@ -69,22 +68,18 @@
 //! assert_eq!((a / b) * b, a);
 //!
 //! // Erasure coding: 4 data shards, 2 parity shards, any 2 losses recoverable.
+//! // Rebuilding lost shards is `drc_codes::StripeReconstructor`'s job.
 //! let rs = ReedSolomon::new(4, 2)?;
 //! let data: Vec<Vec<u8>> = (0..4).map(|i| vec![i as u8; 16]).collect();
 //! let mut shards = rs.encode(&data)?;
-//! shards[1].clear(); // lose a data shard
-//! shards[4].clear(); // lose a parity shard
-//! let present: Vec<Option<&[u8]>> = shards
-//!     .iter()
-//!     .map(|s| if s.is_empty() { None } else { Some(s.as_slice()) })
-//!     .collect();
-//! let recovered = rs.reconstruct(&present, 16)?;
-//! assert_eq!(recovered[1], vec![1u8; 16]);
+//! assert!(rs.verify(&shards)?);
+//! shards[1][0] ^= 0xff; // corrupt a data shard
+//! assert!(!rs.verify(&shards)?);
 //!
 //! // Zero-allocation encoding into caller-owned parity buffers.
 //! let mut parity = vec![vec![0u8; 16]; 2];
 //! rs.encode_into(&data, &mut parity)?;
-//! assert_eq!(parity[0], recovered[4]);
+//! assert_eq!(parity[0], shards[4]);
 //! # Ok(())
 //! # }
 //! ```

@@ -199,119 +199,6 @@ impl ReedSolomon {
             .zip(shards)
             .all(|(e, s)| e.as_slice() == s.as_ref()))
     }
-
-    /// Reconstructs all `k + m` shards from any `k` surviving shards.
-    ///
-    /// `present[i]` is `Some(bytes)` if coded shard `i` survives and `None`
-    /// otherwise; `shard_len` gives the length every shard must have (used
-    /// when all data shards are missing).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if fewer than `k` shards are present, lengths are
-    /// inconsistent, or the input vector is not of length `k + m`.
-    pub fn reconstruct(
-        &self,
-        present: &[Option<&[u8]>],
-        shard_len: usize,
-    ) -> Result<Vec<Vec<u8>>, GfError> {
-        let mut out = vec![vec![0u8; shard_len]; self.total_shards()];
-        self.reconstruct_into(present, shard_len, &mut out)?;
-        Ok(out)
-    }
-
-    /// Reconstructs all `k + m` shards into caller-owned output buffers.
-    ///
-    /// Semantics match [`ReedSolomon::reconstruct`]; `out` must hold
-    /// `k + m` buffers of length `shard_len`, which are fully overwritten.
-    /// No block-sized buffers are allocated: surviving data shards are
-    /// copied, missing ones decoded directly into their output buffer, and
-    /// parities re-encoded through the fused zero-allocation path (only the
-    /// small `k × k` decoding matrix is heap-allocated, and only when a data
-    /// shard is actually missing).
-    ///
-    /// # Errors
-    ///
-    /// As [`ReedSolomon::reconstruct`], plus an error if `out` has the wrong
-    /// shard count or lengths.
-    pub fn reconstruct_into<B>(
-        &self,
-        present: &[Option<&[u8]>],
-        shard_len: usize,
-        out: &mut [B],
-    ) -> Result<(), GfError>
-    where
-        B: AsRef<[u8]> + AsMut<[u8]>,
-    {
-        if present.len() != self.total_shards() {
-            return Err(GfError::WrongShardCount {
-                expected: self.total_shards(),
-                found: present.len(),
-            });
-        }
-        if out.len() != self.total_shards() {
-            return Err(GfError::WrongShardCount {
-                expected: self.total_shards(),
-                found: out.len(),
-            });
-        }
-        if out.iter_mut().any(|b| b.as_mut().len() != shard_len) {
-            return Err(GfError::UnequalShardLengths);
-        }
-        let available: Vec<usize> = present
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.map(|_| i))
-            .collect();
-        if available.len() < self.data {
-            return Err(GfError::TooFewShards {
-                needed: self.data,
-                present: available.len(),
-            });
-        }
-        if present.iter().flatten().any(|s| s.len() != shard_len) {
-            return Err(GfError::UnequalShardLengths);
-        }
-
-        let (data_out, parity_out) = out.split_at_mut(self.data);
-
-        if (0..self.data).all(|j| present[j].is_some()) {
-            // All data shards survive: plain copies, no matrix inversion.
-            for (j, buf) in data_out.iter_mut().enumerate() {
-                buf.as_mut()
-                    // drc-lint: allow(panic-hygiene): this branch requires all data
-                    // shards present (the `all(is_some)` condition above).
-                    .copy_from_slice(present[j].expect("checked present"));
-            }
-        } else {
-            // Select k surviving rows of the generator and invert them to
-            // obtain the decoding matrix.
-            let chosen = &available[..self.data];
-            let sub = self.generator.select_rows(chosen);
-            let decode = sub.inverse()?;
-            let chosen_shards: Vec<&[u8]> = chosen
-                .iter()
-                // drc-lint: allow(panic-hygiene): `chosen` indexes only shards that
-                // were present when the row subset was selected above.
-                .map(|&i| present[i].expect("chosen shard must be present"))
-                .collect();
-            // Recover each data shard directly into its output buffer:
-            // data_j = sum_i decode[j][i] * shard[chosen[i]]. Surviving data
-            // shards are cheaper to copy than to re-derive.
-            for (j, buf) in data_out.iter_mut().enumerate() {
-                match present[j] {
-                    Some(shard) => buf.as_mut().copy_from_slice(shard),
-                    None => {
-                        slice::linear_combination_into(decode.row(j), &chosen_shards, buf.as_mut())
-                    }
-                }
-            }
-        }
-        // Re-encode every parity from the recovered data (fused, no
-        // allocation); restoring surviving parities by copy would cost the
-        // same memory traffic.
-        self.encode_into(&*data_out, parity_out)
-    }
 }
 
 #[cfg(test)]
@@ -344,60 +231,14 @@ mod tests {
 
     #[test]
     fn single_parity_protects_any_single_loss() {
-        // With one parity shard, losing any single shard must be recoverable.
+        // With one parity shard, losing any single shard must be recoverable:
+        // every k-row subset of the generator is invertible.
         let rs = ReedSolomon::new(5, 1).unwrap();
         assert!(rs.parity_row(0).iter().all(|c| !c.is_zero()));
-        let data = sample_data(5, 16);
-        let coded = rs.encode(&data).unwrap();
         for lost in 0..6 {
-            let present: Vec<Option<&[u8]>> = coded
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (i != lost).then_some(s.as_slice()))
-                .collect();
-            assert_eq!(rs.reconstruct(&present, 16).unwrap(), coded);
+            let rows: Vec<usize> = (0..6).filter(|&i| i != lost).collect();
+            assert_eq!(rs.generator().select_rows(&rows).rank(), 5, "lost {lost}");
         }
-    }
-
-    #[test]
-    fn reconstruct_from_every_possible_loss_pattern() {
-        let rs = ReedSolomon::new(5, 3).unwrap();
-        let data = sample_data(5, 24);
-        let coded = rs.encode(&data).unwrap();
-        let n = rs.total_shards();
-        // Every subset of up to 3 lost shards must be recoverable.
-        for a in 0..n {
-            for b in a..n {
-                for c in b..n {
-                    let mut present: Vec<Option<&[u8]>> =
-                        coded.iter().map(|s| Some(s.as_slice())).collect();
-                    present[a] = None;
-                    present[b] = None;
-                    present[c] = None;
-                    let rec = rs.reconstruct(&present, 24).unwrap();
-                    assert_eq!(rec, coded, "failed for losses {a},{b},{c}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn reconstruct_fails_with_too_few_shards() {
-        let rs = ReedSolomon::new(4, 2).unwrap();
-        let data = sample_data(4, 8);
-        let coded = rs.encode(&data).unwrap();
-        let present: Vec<Option<&[u8]>> = coded
-            .iter()
-            .enumerate()
-            .map(|(i, s)| if i < 3 { Some(s.as_slice()) } else { None })
-            .collect();
-        assert_eq!(
-            rs.reconstruct(&present, 8),
-            Err(GfError::TooFewShards {
-                needed: 4,
-                present: 3
-            })
-        );
     }
 
     #[test]
@@ -408,10 +249,6 @@ mod tests {
         bad[1].push(0);
         assert_eq!(rs.encode(&bad), Err(GfError::UnequalShardLengths));
         assert!(rs.verify(&sample_data(3, 8)).is_err());
-        let coded = rs.encode(&sample_data(3, 8)).unwrap();
-        let mut present: Vec<Option<&[u8]>> = coded.iter().map(|s| Some(s.as_slice())).collect();
-        present.pop();
-        assert!(rs.reconstruct(&present, 8).is_err());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   `c`, `NIB_LO[c][x] = c·x` and `NIB_HI[c][x] = c·(x << 4)` for
 //!   `x < 16`. Because multiplication by `c` is GF(2)-linear,
 //!   `c·b = NIB_LO[c][b & 0xf] ^ NIB_HI[c][b >> 4]`; the two 16-entry
-//!   tables fit exactly in one `pshufb`/`tbl`/`vpermb` register each, which
+//!   tables fit exactly in one `pshufb`/`tbl` register each, which
 //!   is what the SIMD kernels exploit.
 //! * [`GFNI`] — per-coefficient 8×8 GF(2) bit-matrices in the operand
 //!   layout of `gf2p8affineqb`: multiplication by a constant is GF(2)-linear
