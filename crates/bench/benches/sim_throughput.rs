@@ -4,9 +4,9 @@
 //! Five groups:
 //!
 //! * `sim_stripe_encode` — production stripe-encode throughput (the
-//!   HDFS-RAID write path: `StripeEncoder` over `encode_into`) at one worker
-//!   thread versus the full pool, for an RS(10,4) stripe and the GF-heavy
-//!   heptagon-local stripe,
+//!   HDFS-RAID write path: `encode_stripe`, the fused copy-in and parity
+//!   computation into pooled blocks) at one worker thread versus the full
+//!   pool, for an RS(10,4) stripe and the GF-heavy heptagon-local stripe,
 //! * `sim_reconstruct` — worst-case Reed–Solomon reconstruction of the lost
 //!   blocks through `StripeReconstructor`, single vs multi-thread,
 //! * `pool_dispatch` — nanoseconds per `rayon::scope` round-trip through
@@ -53,7 +53,7 @@ use rand_chacha::ChaCha8Rng;
 use drc_cluster::{
     Cluster, ClusterSpec, GlobalBlockId, IndexKind, NodeId, PlacementMap, PlacementPolicy,
 };
-use drc_codes::{CodeKind, StripeEncoder, StripeReconstructor};
+use drc_codes::{encode_stripe, CodeKind, StripeReconstructor};
 use drc_gf::kernel;
 use drc_sim::{ClusterNet, EventQueue, SimTime};
 
@@ -170,13 +170,19 @@ fn bench_stripe_encode(c: &mut Criterion) {
         let code = kind.build().expect("code builds");
         let k = code.data_blocks();
         let data: Vec<Vec<u8>> = (0..k).map(|i| make_block(BLOCK, i)).collect();
+        let sources: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
         let mut group = c.benchmark_group(format!("sim_stripe_encode/{kind}"));
         group.throughput(Throughput::Bytes((k * BLOCK) as u64));
         for threads in thread_points() {
-            let mut encoder = StripeEncoder::new();
             group.bench_function(format!("threads={threads}"), |b| {
                 rayon::with_num_threads(threads, || {
-                    b.iter(|| encoder.encode(code.as_ref(), &data).expect("encodes").len())
+                    b.iter(|| {
+                        let blocks =
+                            encode_stripe(code.as_ref(), &sources, BLOCK).expect("encodes");
+                        let n = blocks.len();
+                        blocks.into_iter().for_each(drc_gf::bufpool::recycle);
+                        n
+                    })
                 })
             });
         }

@@ -1,93 +1,79 @@
-//! Buffer-reusing stripe encoding.
+//! Fused stripe encoding: one pass per byte from user bytes to stored blocks.
 //!
-//! Writing a large file means encoding stripe after stripe with the same
-//! code and block length. [`StripeEncoder`] owns the parity scratch buffers
-//! and hands them to [`ErasureCode::encode_into`], so after the first stripe
-//! every subsequent encode performs **no heap allocation** — the buffers are
-//! only reallocated when the code geometry or block length changes.
+//! A writer holds file bytes, not blocks. [`encode_stripe`] takes the `k`
+//! borrowed source ranges of one stripe and produces every distinct block of
+//! the stripe in pooled buffers: each data block receives its source bytes,
+//! zero-padded to the block length, and every parity is accumulated from
+//! those bytes in the same cache tile (`drc_gf::slice::copy_mul_into`). Each
+//! user byte is read once and each block byte written once; the buffers come
+//! from `drc_gf::bufpool::take_for_overwrite`, so no zero-fill precedes the
+//! copy, and the caller can move them into their storage handles without a
+//! further copy.
 //!
-//! Encodes are additionally *shard-parallel*: `encode_into` bottoms out in
-//! the fused `drc_gf::slice::matrix_mul_into`, which splits block-sized
-//! shards into byte ranges across the workspace worker pool (worker count
+//! Encodes are *shard-parallel*: blocks long enough to feed several workers
+//! are split into byte ranges across the workspace worker pool (worker count
 //! from `DRC_SIM_THREADS`; results are byte-identical to a single-threaded
-//! run, and `DRC_SIM_THREADS=1` keeps the whole path serial and
-//! allocation-free).
+//! run, and `DRC_SIM_THREADS=1` keeps the whole path serial).
 
 use crate::{CodeError, ErasureCode};
 
-/// Reusable scratch buffers for encoding a sequence of stripes.
+/// Encodes one stripe from borrowed source ranges, returning all
+/// `distinct_blocks()` blocks in pooled buffers: blocks `0..k` are the data
+/// blocks (each source zero-padded to `block_len`), blocks
+/// `k..distinct_blocks()` the local and global parities.
+///
+/// A source may be shorter than `block_len` or empty — the tail of a file
+/// whose last stripe is partly padding. The result is byte-identical to
+/// [`ErasureCode::encode`] of the zero-padded data blocks.
 ///
 /// # Example
 ///
 /// ```
-/// use drc_codes::{CodeKind, ErasureCode, StripeEncoder};
+/// use drc_codes::{encode_stripe, CodeKind, ErasureCode};
 ///
 /// # fn main() -> Result<(), drc_codes::CodeError> {
 /// let code = CodeKind::Pentagon.build()?;
-/// let mut encoder = StripeEncoder::new();
-/// for stripe in 0..4u8 {
-///     let data: Vec<Vec<u8>> = (0..9).map(|i| vec![stripe ^ i; 1024]).collect();
-///     // After the first iteration this allocates nothing.
-///     let parities = encoder.encode(code.as_ref(), &data)?;
-///     assert_eq!(parities.len(), 1); // the pentagon's XOR parity
-/// }
+/// let file: Vec<u8> = (0..5000u32).map(|i| i as u8).collect();
+/// // Nine 1 KiB data blocks; the file ends inside the fifth.
+/// let sources: Vec<&[u8]> = (0..9)
+///     .map(|b| &file[(b * 1024).min(file.len())..((b + 1) * 1024).min(file.len())])
+///     .collect();
+/// let blocks = encode_stripe(code.as_ref(), &sources, 1024)?;
+/// assert_eq!(blocks.len(), 10); // 9 data blocks + the XOR parity
+/// assert_eq!(&blocks[4][..904], &file[4096..]);
+/// assert!(blocks[4][904..].iter().all(|&b| b == 0));
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Default)]
-pub struct StripeEncoder {
-    parities: Vec<Vec<u8>>,
-}
-
-impl StripeEncoder {
-    /// Creates an encoder with no scratch space yet.
-    pub fn new() -> Self {
-        StripeEncoder::default()
+///
+/// # Errors
+///
+/// Returns [`CodeError::WrongDataBlockCount`] unless there are exactly `k`
+/// sources, and [`CodeError::UnequalBlockLengths`] if a source is longer
+/// than `block_len`.
+pub fn encode_stripe<C: ErasureCode + ?Sized>(
+    code: &C,
+    sources: &[&[u8]],
+    block_len: usize,
+) -> Result<Vec<Vec<u8>>, CodeError> {
+    let s = code.structure();
+    let k = s.data_blocks;
+    if sources.len() != k {
+        return Err(CodeError::WrongDataBlockCount {
+            expected: k,
+            found: sources.len(),
+        });
     }
-
-    /// Encodes one stripe, returning the non-data distinct blocks (blocks
-    /// `k..distinct_blocks()` — the local and global parities).
-    ///
-    /// The data blocks may live in any borrowable container (`Vec<u8>`,
-    /// `bytes::Bytes`, `&[u8]` views): the encoder reads them in place, so
-    /// a repair path holding freshly decoded blocks feeds them straight in
-    /// without cloning each one into a `Vec<u8>` first.
-    ///
-    /// The returned slice borrows the encoder's scratch buffers; copy out
-    /// whatever must outlive the next call.
-    ///
-    /// # Errors
-    ///
-    /// As [`ErasureCode::encode_into`].
-    pub fn encode<'a, B: AsRef<[u8]>>(
-        &'a mut self,
-        code: &dyn ErasureCode,
-        data: &[B],
-    ) -> Result<&'a [Vec<u8>], CodeError> {
-        let parity_count = code.distinct_blocks() - code.data_blocks();
-        let len = data.first().map(|b| b.as_ref().len()).unwrap_or(0);
-        if self.parities.len() != parity_count || self.parities.iter().any(|b| b.len() != len) {
-            // Geometry changed: shelve the old scratch and draw fresh
-            // buffers from the block pool so back-to-back encoders (one per
-            // experiment cell) stop malloc/freeing block-sized vectors.
-            for old in self.parities.drain(..) {
-                drc_gf::bufpool::recycle(old);
-            }
-            for _ in 0..parity_count {
-                self.parities.push(drc_gf::bufpool::take(len));
-            }
-        }
-        crate::traits::encode_parities_into(code, data, &mut self.parities)?;
-        Ok(&self.parities)
+    if sources.iter().any(|src| src.len() > block_len) {
+        return Err(CodeError::UnequalBlockLengths);
     }
-}
-
-impl Drop for StripeEncoder {
-    fn drop(&mut self) {
-        for buf in self.parities.drain(..) {
-            drc_gf::bufpool::recycle(buf);
-        }
-    }
+    let mut blocks: Vec<Vec<u8>> = (0..code.distinct_blocks())
+        .map(|_| drc_gf::bufpool::take_for_overwrite(block_len))
+        .collect();
+    let (data, parities) = blocks.split_at_mut(k);
+    let coeffs = s.generator.rows_flat(k, code.distinct_blocks());
+    drc_gf::slice::copy_mul_into(coeffs, sources, data, parities);
+    Ok(blocks)
 }
 
 #[cfg(test)]
@@ -96,8 +82,8 @@ mod tests {
     use crate::CodeKind;
 
     #[test]
-    fn matches_plain_encode_for_every_code() {
-        let mut encoder = StripeEncoder::new();
+    fn matches_plain_encode_of_padded_data_for_every_code() {
+        let len = 97;
         for kind in [
             CodeKind::TWO_REP,
             CodeKind::Pentagon,
@@ -108,29 +94,40 @@ mod tests {
         ] {
             let code = kind.build().unwrap();
             let k = code.data_blocks();
-            let data: Vec<Vec<u8>> = (0..k)
-                .map(|i| (0..97).map(|j| (i * 13 + j * 7 + 3) as u8).collect())
+            // Full blocks, then one ending mid-block, then empty ones.
+            let file: Vec<u8> = (0..len * k / 2 + 13).map(|j| (j * 7 + 3) as u8).collect();
+            let sources: Vec<&[u8]> = (0..k)
+                .map(|b| &file[(b * len).min(file.len())..((b + 1) * len).min(file.len())])
                 .collect();
-            let full = code.encode(&data).unwrap();
-            let parities = encoder.encode(code.as_ref(), &data).unwrap();
-            assert_eq!(parities, &full[k..], "parity mismatch for {kind}");
+            let padded: Vec<Vec<u8>> = sources
+                .iter()
+                .map(|src| {
+                    let mut block = src.to_vec();
+                    block.resize(len, 0);
+                    block
+                })
+                .collect();
+            let blocks = encode_stripe(code.as_ref(), &sources, len).unwrap();
+            assert_eq!(blocks, code.encode(&padded).unwrap(), "mismatch for {kind}");
         }
     }
 
     #[test]
-    fn reuses_buffers_across_stripes() {
-        let code = CodeKind::Heptagon.build().unwrap();
-        let mut encoder = StripeEncoder::new();
-        let k = code.data_blocks();
-        let data: Vec<Vec<u8>> = (0..k).map(|i| vec![i as u8; 256]).collect();
-        let first_ptr = {
-            let p = encoder.encode(code.as_ref(), &data).unwrap();
-            p[0].as_ptr()
-        };
-        let second_ptr = {
-            let p = encoder.encode(code.as_ref(), &data).unwrap();
-            p[0].as_ptr()
-        };
-        assert_eq!(first_ptr, second_ptr, "scratch buffers must be reused");
+    fn rejects_wrong_source_count_and_oversized_sources() {
+        let code = CodeKind::Pentagon.build().unwrap();
+        let block = [0u8; 8];
+        let too_few = vec![&block[..]; 8];
+        assert!(matches!(
+            encode_stripe(code.as_ref(), &too_few, 8),
+            Err(CodeError::WrongDataBlockCount {
+                expected: 9,
+                found: 8
+            })
+        ));
+        let sources = vec![&block[..]; 9];
+        assert_eq!(
+            encode_stripe(code.as_ref(), &sources, 7),
+            Err(CodeError::UnequalBlockLengths)
+        );
     }
 }

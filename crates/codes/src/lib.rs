@@ -13,9 +13,9 @@
 //! * the stripe *structure* (generator matrix + node layout) used by the
 //!   placement, locality and reliability analyses,
 //! * `encode` / `decode` over real block payloads, plus the zero-allocation
-//!   [`ErasureCode::encode_into`] fast path and the buffer-reusing
-//!   [`StripeEncoder`] built on it; `decode` and every HDFS rebuild run on
-//!   the one reconstruction engine, [`StripeReconstructor`],
+//!   [`ErasureCode::encode_into`] fast path and the fused, pooled
+//!   [`encode_stripe`] the HDFS write path runs; `decode` and every HDFS
+//!   rebuild run on the one reconstruction engine, [`StripeReconstructor`],
 //! * failure analysis (`can_recover`, `fault_tolerance`,
 //!   `count_fatal_patterns`), and
 //! * repair and degraded-read *plans* whose network cost is measured in
@@ -57,10 +57,10 @@ mod repair;
 mod traits;
 
 pub use codes::{PolygonCode, PolygonLocalCode, RaidMirrorCode, ReplicationCode, RsCode};
-pub use encoder::StripeEncoder;
+pub use encoder::encode_stripe;
 pub use error::CodeError;
 pub use layout::{CodeStructure, NodeLayout};
 pub use reconstruct::StripeReconstructor;
 pub use registry::CodeKind;
 pub use repair::{ReadPlan, ReadSource, RepairPlan, Transfer, TransferPayload};
-pub use traits::{encode_parities_into, ErasureCode};
+pub use traits::ErasureCode;

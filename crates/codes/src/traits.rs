@@ -112,16 +112,29 @@ pub trait ErasureCode: std::fmt::Debug + Send + Sync {
     /// `distinct_blocks() - k` buffers of the common block length; they are
     /// fully overwritten. The default implementation applies the whole parity
     /// sub-matrix through the fused, cache-blocked
-    /// [`slice::matrix_mul_into`], so a caller that reuses its buffers (see
-    /// [`crate::StripeEncoder`]) encodes stripe after stripe without touching
-    /// the heap.
+    /// [`slice::matrix_mul_into`], so a caller that reuses its buffers
+    /// encodes stripe after stripe without touching the heap.
     ///
     /// # Errors
     ///
     /// Returns an error if the data block count, the parity buffer count, or
     /// any block length is wrong.
     fn encode_into(&self, data: &[Vec<u8>], parities: &mut [Vec<u8>]) -> Result<(), CodeError> {
-        encode_parities_into(self, data, parities)
+        let len = validate_data_blocks(self, data)?;
+        let s = self.structure();
+        let parity_count = self.distinct_blocks() - s.data_blocks;
+        if parities.len() != parity_count {
+            return Err(CodeError::WrongParityBlockCount {
+                expected: parity_count,
+                found: parities.len(),
+            });
+        }
+        if parities.iter().any(|b| b.len() != len) {
+            return Err(CodeError::UnequalBlockLengths);
+        }
+        let coeffs = s.generator.rows_flat(s.data_blocks, self.distinct_blocks());
+        slice::matrix_mul_into(coeffs, s.data_blocks, data, parities);
+        Ok(())
     }
 
     /// Decodes the `k` data blocks from whatever distinct blocks are
@@ -274,43 +287,6 @@ pub trait ErasureCode: std::fmt::Debug + Send + Sync {
             .sum();
         total as f64 / n as f64
     }
-}
-
-/// The generic-payload parity encode behind [`ErasureCode::encode_into`] and
-/// `StripeEncoder::encode`: computes the stripe's non-data distinct blocks
-/// into `parities` from any borrowable data blocks (`Vec<u8>`, `Bytes`,
-/// plain `&[u8]` views), so callers holding decoded blocks in non-`Vec`
-/// containers encode without first copying every block into a fresh
-/// `Vec<u8>`.
-///
-/// # Errors
-///
-/// As [`ErasureCode::encode_into`]: wrong data block count, wrong parity
-/// buffer count, or unequal block lengths.
-pub fn encode_parities_into<C, S>(
-    code: &C,
-    data: &[S],
-    parities: &mut [Vec<u8>],
-) -> Result<(), CodeError>
-where
-    C: ErasureCode + ?Sized,
-    S: AsRef<[u8]>,
-{
-    let len = validate_data_blocks(code, data)?;
-    let s = code.structure();
-    let parity_count = code.distinct_blocks() - s.data_blocks;
-    if parities.len() != parity_count {
-        return Err(CodeError::WrongParityBlockCount {
-            expected: parity_count,
-            found: parities.len(),
-        });
-    }
-    if parities.iter().any(|b| b.len() != len) {
-        return Err(CodeError::UnequalBlockLengths);
-    }
-    let coeffs = s.generator.rows_flat(s.data_blocks, code.distinct_blocks());
-    slice::matrix_mul_into(coeffs, s.data_blocks, data, parities);
-    Ok(())
 }
 
 /// Validates an encode input, returning the common block length.

@@ -6,16 +6,21 @@
 //! mallocs and frees gigabytes of 1 MiB buffers — page-fault churn that
 //! dwarfs the arithmetic. This pool keeps the allocations alive between
 //! cells: [`take`] hands out a zeroed buffer (recycled when one of matching
-//! capacity is shelved, freshly allocated otherwise) and [`recycle`] shelves
-//! an allocation for the next taker.
+//! capacity is shelved, freshly allocated otherwise), [`take_for_overwrite`]
+//! hands out one whose contents the caller is about to overwrite, and
+//! [`recycle`] shelves an allocation for the next taker.
 //!
 //! # Determinism
 //!
-//! A recycled buffer is indistinguishable from a fresh one: [`take`] always
-//! returns `len` zeroed bytes, so stale contents can never leak between
-//! cells and simulation output is byte-identical whether a buffer was
-//! pooled or not. Which allocation backs a buffer is the only thing that
-//! varies (and races, under a parallel harness) — never the bytes.
+//! [`take`] always returns `len` zeroed bytes, so a recycled buffer from it
+//! is indistinguishable from a fresh one. [`take_for_overwrite`] skips that
+//! zero-fill: its bytes are unspecified — whatever a previous owner left
+//! behind — though always initialised (safe Rust, no `MaybeUninit`). It is
+//! only for callers that overwrite every byte before reading any, such as
+//! the fused copy-and-encode of a stripe, so stale contents never reach
+//! simulation output. Either way output is byte-identical whether a buffer
+//! was pooled or not; which allocation backs a buffer is the only thing
+//! that varies (and races, under a parallel harness) — never the bytes.
 //!
 //! # Bounds
 //!
@@ -52,45 +57,60 @@ fn shelf() -> std::sync::MutexGuard<'static, Shelf> {
 /// Returns a buffer of exactly `len` zeroed bytes, reusing a shelved
 /// allocation when one of sufficient capacity is available.
 pub fn take(len: usize) -> Vec<u8> {
-    let reused = if len >= MIN_POOLED_CAPACITY {
-        let mut shelf = shelf();
-        // Prefer the smallest shelved buffer that fits, so a small request
-        // does not pin an oversized allocation.
-        let mut best: Option<(usize, usize)> = None;
-        for (i, b) in shelf.bufs.iter().enumerate() {
-            let cap = b.capacity();
-            if cap >= len && best.is_none_or(|(_, c)| cap < c) {
-                best = Some((i, cap));
-                if cap == len {
-                    break;
-                }
-            }
-        }
-        best.map(|(i, _)| {
-            let b = shelf.bufs.swap_remove(i);
-            shelf.bytes -= b.capacity();
-            b
-        })
-    } else {
-        None
-    };
-    match reused {
+    match pop(len) {
         Some(mut b) => {
-            HITS.fetch_add(1, Ordering::Relaxed);
             b.clear();
             b.resize(len, 0);
             b
         }
-        None => {
-            if len >= MIN_POOLED_CAPACITY {
-                MISSES.fetch_add(1, Ordering::Relaxed);
-            }
-            vec![0u8; len]
-        }
+        None => vec![0u8; len],
     }
 }
 
-/// Shelves an allocation for a later [`take`]. Buffers below
+/// Returns a buffer of exactly `len` bytes with **unspecified** contents,
+/// reusing a shelved allocation when one of sufficient capacity is
+/// available. Only for callers that overwrite every byte before reading
+/// any: a reused buffer keeps whatever its previous owner wrote (only bytes
+/// past its old length are zeroed), which saves [`take`]'s full zero-fill.
+pub fn take_for_overwrite(len: usize) -> Vec<u8> {
+    match pop(len) {
+        Some(mut b) => {
+            b.resize(len, 0);
+            b
+        }
+        None => vec![0u8; len],
+    }
+}
+
+/// The shelf lookup both takes share: pops the smallest shelved buffer of
+/// at least `len` capacity (so a small request does not pin an oversized
+/// allocation) and counts the pool-eligible request as a hit or a miss.
+fn pop(len: usize) -> Option<Vec<u8>> {
+    if len < MIN_POOLED_CAPACITY {
+        return None;
+    }
+    let mut shelf = shelf();
+    let mut best: Option<(usize, usize)> = None;
+    for (i, b) in shelf.bufs.iter().enumerate() {
+        let cap = b.capacity();
+        if cap >= len && best.is_none_or(|(_, c)| cap < c) {
+            best = Some((i, cap));
+            if cap == len {
+                break;
+            }
+        }
+    }
+    let popped = best.map(|(i, _)| {
+        let b = shelf.bufs.swap_remove(i);
+        shelf.bytes -= b.capacity();
+        b
+    });
+    let counter = if popped.is_some() { &HITS } else { &MISSES };
+    counter.fetch_add(1, Ordering::Relaxed);
+    popped
+}
+
+/// Shelves an allocation for a later take. Buffers below
 /// [`MIN_POOLED_CAPACITY`], or arriving once the shelf holds
 /// [`MAX_POOLED_BYTES`], are simply dropped.
 pub fn recycle(buf: Vec<u8>) {
@@ -111,12 +131,12 @@ pub fn pooled_bytes() -> usize {
     shelf().bytes
 }
 
-/// Number of [`take`] calls served from the shelf so far.
+/// Number of takes (of either kind) served from the shelf so far.
 pub fn hits() -> u64 {
     HITS.load(Ordering::Relaxed)
 }
 
-/// Number of pool-eligible [`take`] calls that had to allocate fresh.
+/// Number of pool-eligible takes that had to allocate fresh.
 pub fn misses() -> u64 {
     MISSES.load(Ordering::Relaxed)
 }
@@ -152,6 +172,34 @@ mod tests {
         let b = take(len);
         assert_eq!(b.len(), len);
         assert!(b.iter().all(|&x| x == 0), "recycled buffer must be zeroed");
+    }
+
+    #[test]
+    fn overwrite_take_reuses_without_zeroing_and_take_still_zeroes() {
+        let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let len = MIN_POOLED_CAPACITY + 29;
+        drain();
+        recycle(vec![0xA5u8; len]);
+        let hits_before = hits();
+        let mut a = take_for_overwrite(len);
+        assert_eq!(a.len(), len);
+        assert_eq!(
+            hits(),
+            hits_before + 1,
+            "the overwrite take shares the shelf"
+        );
+        assert!(
+            a.iter().all(|&b| b == 0xA5),
+            "the overwrite take skips the zero-fill"
+        );
+        a.iter_mut().for_each(|b| *b = 0x5A);
+        recycle(a);
+        let b = take(len);
+        assert_eq!(b.len(), len);
+        assert!(
+            b.iter().all(|&x| x == 0),
+            "a buffer recycled after an overwrite take comes back zeroed from take"
+        );
     }
 
     #[test]

@@ -16,7 +16,12 @@
 //!   cache tile (all outputs advance together through one [`TILE`]-sized
 //!   window of the inputs) instead of making one full pass per output row,
 //!   which is what the Reed–Solomon encoder and the erasure-code stripe
-//!   encoders build on.
+//!   encoders build on. [`copy_mul_into`] fuses the copy of the source
+//!   bytes into their data blocks into the same tile loop, so a write
+//!   path reads each user byte once and writes each block byte once.
+//!
+//! Every product entry point runs one tile loop; [`matrix_mul_into`] and
+//! [`matrix_mul_batch`] are that loop with the copy step turned off.
 //!
 //! # Shard parallelism
 //!
@@ -169,7 +174,8 @@ pub fn linear_combination<S: AsRef<[u8]>>(coeffs: &[Gf256], blocks: &[S], len: u
 /// Computes `out = sum_j coeffs[j] * blocks[j]` into a caller-owned buffer.
 ///
 /// Allocation-free: `out` is fully overwritten (it does not need to be
-/// zeroed beforehand).
+/// zeroed beforehand). This is [`matrix_mul_into`] with a single output
+/// row.
 ///
 /// # Panics
 ///
@@ -181,33 +187,7 @@ pub fn linear_combination_into<S: AsRef<[u8]>>(coeffs: &[Gf256], blocks: &[S], o
         blocks.len(),
         "one coefficient is required per block"
     );
-    let workers = workers_for(out.len());
-    if workers > 1 && !blocks.is_empty() {
-        let len = out.len();
-        let views: Vec<&[u8]> = blocks.iter().map(|b| b.as_ref()).collect();
-        for b in &views {
-            assert_eq!(b.len(), len, "blocks must match the output length");
-        }
-        let views = &views;
-        rayon::scope(|s| {
-            let mut rest = &mut *out;
-            for (start, end) in par_ranges(len, workers) {
-                let (head, tail) = rest.split_at_mut(end - start);
-                rest = tail;
-                s.spawn(move |_| {
-                    head.fill(0);
-                    for (c, b) in coeffs.iter().zip(views) {
-                        mul_acc(head, &b[start..end], *c);
-                    }
-                });
-            }
-        });
-        return;
-    }
-    out.fill(0);
-    for (c, b) in coeffs.iter().zip(blocks) {
-        mul_acc(out, b.as_ref(), *c);
-    }
+    matrix_mul_into(coeffs, blocks.len(), blocks, &mut [out]);
 }
 
 /// Fused, cache-blocked matrix × block-vector product:
@@ -223,7 +203,8 @@ pub fn linear_combination_into<S: AsRef<[u8]>>(coeffs: &[Gf256], blocks: &[S], o
 /// Callers own every buffer; `outs` are fully overwritten. Blocks large
 /// enough to feed several workers (see [`workers_for`]) are additionally
 /// split into TILE-aligned ranges across the worker pool (byte-identical to
-/// the serial path); the serial path performs no heap allocation.
+/// the serial path); the serial path performs no heap allocation. This is
+/// [`copy_mul_into`] with the copy step turned off.
 ///
 /// # Panics
 ///
@@ -250,75 +231,116 @@ where
     for o in outs.iter_mut() {
         assert_eq!(o.as_mut().len(), len, "outputs must match the block length");
     }
-    let workers = workers_for(len);
-    if workers > 1 && !outs.is_empty() && k > 0 {
-        matrix_mul_into_parallel(coeffs, k, blocks, outs, len, workers);
-        return;
-    }
-    for o in outs.iter_mut() {
-        o.as_mut().fill(0);
-    }
-    let kern = kernel::active();
-    let mut start = 0;
-    while start < len {
-        let end = (start + TILE).min(len);
-        for (j, block) in blocks.iter().enumerate() {
-            let src = &block.as_ref()[start..end];
-            for (p, out) in outs.iter_mut().enumerate() {
-                let c = coeffs[p * k + j];
-                if c == Gf256::ZERO {
-                    continue;
-                }
-                let dst = &mut out.as_mut()[start..end];
-                if c == Gf256::ONE {
-                    kern.xor_assign(dst, src);
-                } else {
-                    kern.mul_acc(dst, src, c.value());
-                }
-            }
-        }
-        start = end;
-    }
+    tile_product(coeffs, blocks, &mut [] as &mut [&mut [u8]], outs, len);
 }
 
-/// The parallel arm of [`matrix_mul_into`]: every output buffer is split at
-/// the same TILE-aligned boundaries, and each byte range (with its window of
-/// every output) becomes one worker-pool task running the same fused tile
-/// loop. Ranges are disjoint, so the result is byte-identical to the serial
-/// path; only per-range bookkeeping is allocated.
-fn matrix_mul_into_parallel<S, B>(
-    coeffs: &[Gf256],
-    k: usize,
-    blocks: &[S],
-    outs: &mut [B],
-    len: usize,
-    workers: usize,
-) where
+/// The write path's one pass per byte: copies each source into its data
+/// block and computes the matrix product of the data blocks in the same
+/// [`TILE`] loop.
+///
+/// For every data block `j`, `data[j]` receives `sources[j]` followed by
+/// zeros up to the common block length (a source may be shorter than its
+/// block, or empty — the tail of a file). At the same time
+/// `outs[p] = sum_j coeffs[p * k + j] * data[j]` with `k = sources.len()`,
+/// accumulated from each freshly copied tile while it is still in L1, so
+/// every source byte is read once and every output byte written once.
+///
+/// Every byte of `data` and `outs` is overwritten, so they may arrive with
+/// arbitrary contents (e.g. from [`crate::bufpool::take_for_overwrite`]).
+/// Splitting across the worker pool and the serial, allocation-free path
+/// are as for [`matrix_mul_into`], and byte-identical to copying,
+/// zero-padding and then calling [`matrix_mul_into`].
+///
+/// # Panics
+///
+/// Panics if `data.len() != sources.len()`,
+/// `coeffs.len() != outs.len() * sources.len()`, the data and output blocks
+/// do not share one length, or a source is longer than that length.
+pub fn copy_mul_into<S, D, B>(coeffs: &[Gf256], sources: &[S], data: &mut [D], outs: &mut [B])
+where
     S: AsRef<[u8]>,
+    D: AsMut<[u8]>,
     B: AsMut<[u8]>,
 {
-    let views: Vec<&[u8]> = blocks.iter().map(|b| b.as_ref()).collect();
-    let ranges: Vec<(usize, usize)> = par_ranges(len, workers).collect();
-    let mut chunked: Vec<Vec<&mut [u8]>> = ranges
-        .iter()
-        .map(|_| Vec::with_capacity(outs.len()))
-        .collect();
+    let k = sources.len();
+    assert_eq!(data.len(), k, "one data block per source is required");
+    assert_eq!(
+        coeffs.len(),
+        outs.len() * k,
+        "coefficient matrix must be outs.len() x k"
+    );
+    let len = data
+        .first_mut()
+        .map(|d| d.as_mut().len())
+        .unwrap_or_else(|| outs.first_mut().map(|o| o.as_mut().len()).unwrap_or(0));
+    for d in data.iter_mut() {
+        assert_eq!(d.as_mut().len(), len, "data blocks must have equal lengths");
+    }
     for o in outs.iter_mut() {
-        let mut rest = o.as_mut();
-        for (ci, (start, end)) in ranges.iter().enumerate() {
+        assert_eq!(o.as_mut().len(), len, "outputs must match the block length");
+    }
+    for s in sources {
+        assert!(s.as_ref().len() <= len, "a source must fit its data block");
+    }
+    tile_product(coeffs, sources, data, outs, len);
+}
+
+/// Runs [`tile_loop`] over `0..len`: serially for short blocks or a 1-wide
+/// pool, otherwise as one worker-pool task per [`par_ranges`] range, each
+/// owning the matching window of every data and output block. Ranges are
+/// disjoint and every byte sees the same field operations, so the split is
+/// byte-identical to the serial loop; only per-range bookkeeping is
+/// allocated.
+fn tile_product<S, D, B>(
+    coeffs: &[Gf256],
+    sources: &[S],
+    data: &mut [D],
+    outs: &mut [B],
+    len: usize,
+) where
+    S: AsRef<[u8]>,
+    D: AsMut<[u8]>,
+    B: AsMut<[u8]>,
+{
+    if data.is_empty() && outs.is_empty() {
+        return;
+    }
+    let workers = workers_for(len);
+    if workers < 2 {
+        tile_loop(coeffs, sources, data, outs, 0, len);
+        return;
+    }
+    let views: Vec<&[u8]> = sources.iter().map(|s| s.as_ref()).collect();
+    let ranges: Vec<(usize, usize)> = par_ranges(len, workers).collect();
+    let data_windows = split_windows(data, &ranges);
+    let out_windows = split_windows(outs, &ranges);
+    let views = &views;
+    rayon::scope(|s| {
+        for ((&(start, end), mut d), mut o) in ranges.iter().zip(data_windows).zip(out_windows) {
+            s.spawn(move |_| tile_loop(coeffs, views, &mut d, &mut o, start, end));
+        }
+    });
+}
+
+/// Cuts every buffer at the same `ranges`, returning per range the window
+/// of each buffer covering it.
+fn split_windows<'a, B: AsMut<[u8]>>(
+    bufs: &'a mut [B],
+    ranges: &[(usize, usize)],
+) -> Vec<Vec<&'a mut [u8]>> {
+    let mut windows: Vec<Vec<&'a mut [u8]>> = ranges
+        .iter()
+        .map(|_| Vec::with_capacity(bufs.len()))
+        .collect();
+    for b in bufs.iter_mut() {
+        let mut rest = b.as_mut();
+        for (window, &(start, end)) in windows.iter_mut().zip(ranges) {
             let (head, tail) = rest.split_at_mut(end - start);
-            chunked[ci].push(head);
+            window.push(head);
             rest = tail;
         }
     }
-    let views = &views;
-    let ranges = &ranges;
-    rayon::scope(|s| {
-        for (ci, mut window) in chunked.into_iter().enumerate() {
-            let (start, end) = ranges[ci];
-            s.spawn(move |_| matrix_mul_window(coeffs, k, views, start, end, &mut window));
-        }
-    });
+    windows
 }
 
 /// One independent matrix × block-vector product inside a
@@ -370,17 +392,10 @@ impl MatrixMulTask<'_> {
     }
 }
 
-/// One pool unit of a batched product: the owning task's coefficients and
-/// source count, its source payloads, the `[start, end)` byte range, and
-/// the output windows covering exactly that range.
-type BatchUnit<'a> = (
-    &'a [Gf256],
-    usize,
-    &'a [&'a [u8]],
-    usize,
-    usize,
-    Vec<&'a mut [u8]>,
-);
+/// One pool unit of a batched product: the owning task's coefficients, its
+/// source payloads, the `[start, end)` byte range, and the output windows
+/// covering exactly that range.
+type BatchUnit<'a> = (&'a [Gf256], &'a [&'a [u8]], usize, usize, Vec<&'a mut [u8]>);
 
 /// Runs many independent matrix × block-vector products as **one** worker
 /// pool dispatch, splitting the pool across the *total* bytes of the batch.
@@ -418,57 +433,94 @@ pub fn matrix_mul_batch(tasks: &mut [MatrixMulTask<'_>]) {
             let ranges: Vec<(usize, usize)> = (0..len.div_ceil(share).max(usize::from(len == 0)))
                 .map(|i| (i * share, ((i + 1) * share).min(len)))
                 .collect();
-            let mut rests: Vec<&mut [u8]> = task.outs.iter_mut().map(|o| &mut o[..]).collect();
-            for &(start, end) in &ranges {
-                let mut window = Vec::with_capacity(rests.len());
-                for rest in rests.iter_mut() {
-                    let taken = std::mem::take(rest);
-                    let (head, tail) = taken.split_at_mut(end - start);
-                    window.push(head);
-                    *rest = tail;
-                }
-                units.push((task.coeffs, task.k, &task.sources, start, end, window));
+            let windows = split_windows(&mut task.outs, &ranges);
+            for (&(start, end), window) in ranges.iter().zip(windows) {
+                units.push((task.coeffs, &task.sources, start, end, window));
             }
         }
         rayon::scope(|s| {
-            for (coeffs, k, sources, start, end, mut window) in units {
-                s.spawn(move |_| matrix_mul_window(coeffs, k, sources, start, end, &mut window));
+            for (coeffs, sources, start, end, mut window) in units {
+                s.spawn(move |_| {
+                    tile_loop(
+                        coeffs,
+                        sources,
+                        &mut [] as &mut [&mut [u8]],
+                        &mut window,
+                        start,
+                        end,
+                    )
+                });
             }
         });
         return;
     }
     for task in tasks.iter_mut() {
         let len = task.len();
-        matrix_mul_window(task.coeffs, task.k, &task.sources, 0, len, &mut task.outs);
+        tile_loop(
+            task.coeffs,
+            &task.sources,
+            &mut [] as &mut [&mut [u8]],
+            &mut task.outs,
+            0,
+            len,
+        );
     }
 }
 
-/// Applies the whole coefficient sub-matrix to the byte range
-/// `offset..limit` of the source blocks, writing the matching windows of the
-/// outputs (`window[p]` is `outs[p][offset..limit]`).
-fn matrix_mul_window(
+/// The one GF product loop every entry point above runs.
+///
+/// Walks the byte range `offset..limit` one [`TILE`] at a time. Per tile,
+/// every output tile starts from zero; then each source tile — first copied
+/// into its data block and zero-padded past the end of the source, when
+/// `data` is non-empty — is accumulated into every output row while it is
+/// still in L1. With `data` empty the copy step is off and the sources are
+/// full-length blocks read in place.
+///
+/// `sources` are whole blocks indexed by absolute offset; `data[j]` and
+/// `outs[p]` are windows that start at `offset` (`outs[p][i - offset]` is
+/// output byte `i`). `coeffs` is the row-major `outs.len() × sources.len()`
+/// matrix.
+fn tile_loop<S, D, B>(
     coeffs: &[Gf256],
-    k: usize,
-    blocks: &[&[u8]],
+    sources: &[S],
+    data: &mut [D],
+    outs: &mut [B],
     offset: usize,
     limit: usize,
-    window: &mut [&mut [u8]],
-) {
+) where
+    S: AsRef<[u8]>,
+    D: AsMut<[u8]>,
+    B: AsMut<[u8]>,
+{
+    let k = sources.len();
     let kern = kernel::active();
-    for o in window.iter_mut() {
-        o.fill(0);
-    }
     let mut start = offset;
     while start < limit {
         let end = (start + TILE).min(limit);
-        for (j, block) in blocks.iter().enumerate() {
-            let src = &block[start..end];
-            for (p, out) in window.iter_mut().enumerate() {
+        let (lo, hi) = (start - offset, end - offset);
+        for out in outs.iter_mut() {
+            out.as_mut()[lo..hi].fill(0);
+        }
+        for (j, source) in sources.iter().enumerate() {
+            let source = source.as_ref();
+            let src: &[u8] = match data.get_mut(j) {
+                Some(block) => {
+                    let block = &mut block.as_mut()[lo..hi];
+                    // Empty once the tile lies past the end of the source.
+                    let bytes = source.get(start..end.min(source.len())).unwrap_or_default();
+                    let (head, pad) = block.split_at_mut(bytes.len());
+                    head.copy_from_slice(bytes);
+                    pad.fill(0);
+                    block
+                }
+                None => &source[start..end],
+            };
+            for (p, out) in outs.iter_mut().enumerate() {
                 let c = coeffs[p * k + j];
                 if c == Gf256::ZERO {
                     continue;
                 }
-                let dst = &mut out[start - offset..end - offset];
+                let dst = &mut out.as_mut()[lo..hi];
                 if c == Gf256::ONE {
                     kern.xor_assign(dst, src);
                 } else {

@@ -1,7 +1,8 @@
 //! Proves the zero-allocation claim of the `*_into` encode paths with a
 //! counting global allocator: once buffers exist and the kernel dispatch is
-//! warm, `ReedSolomon::encode_into`, `slice::linear_combination_into` and
-//! `slice::matrix_mul_into` perform no heap allocation at all.
+//! warm, `ReedSolomon::encode_into`, `slice::linear_combination_into`,
+//! `slice::matrix_mul_into` and the serial (1-wide pool) fused
+//! `slice::copy_mul_into` perform no heap allocation at all.
 //!
 //! This lives in its own integration-test binary, and the counter only
 //! counts allocations made by the *measured thread*: the libtest harness's
@@ -85,6 +86,7 @@ fn into_paths_are_allocation_free() {
     measure_this_thread();
     encode_into_is_allocation_free();
     slice_into_helpers_are_allocation_free();
+    serial_fused_copy_encode_is_allocation_free();
 }
 
 fn encode_into_is_allocation_free() {
@@ -133,4 +135,33 @@ fn slice_into_helpers_are_allocation_free() {
         0,
         "slice *_into helpers must not allocate"
     );
+}
+
+fn serial_fused_copy_encode_is_allocation_free() {
+    // Long enough that only the 1-wide pool keeps the fused loop serial; the
+    // file ends mid-way through the fifth block, so the sixth is all
+    // padding.
+    let len = slice::PAR_ENGAGE_MIN + 100;
+    let file: Vec<u8> = (0..4 * len + len / 2).map(|i| (i * 13 + 1) as u8).collect();
+    let sources: Vec<&[u8]> = (0..6)
+        .map(|j| &file[(j * len).min(file.len())..((j + 1) * len).min(file.len())])
+        .collect();
+    let mut data = vec![vec![0u8; len]; 6];
+    let mut outs = vec![vec![0u8; len]; 2];
+    let matrix: Vec<Gf256> = (1..=12).map(Gf256::new).collect();
+
+    rayon::with_num_threads(1, || {
+        slice::copy_mul_into(&matrix, &sources, &mut data, &mut outs);
+        let before = allocations();
+        for _ in 0..8 {
+            slice::copy_mul_into(&matrix, &sources, &mut data, &mut outs);
+        }
+        assert_eq!(
+            allocations() - before,
+            0,
+            "the serial fused copy-and-encode must not allocate"
+        );
+    });
+    assert_eq!(&data[4][..len / 2], &file[4 * len..]);
+    assert!(data[5].iter().all(|&b| b == 0));
 }

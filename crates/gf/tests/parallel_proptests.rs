@@ -1,7 +1,9 @@
 //! Differential proptests for the shard-parallel paths: encoding and linear
 //! combination split across the worker pool must equal the single-threaded
-//! result **byte-for-byte**. Reconstruction runs on the same fused products
-//! and is checked per erasure pattern in `drc_codes`' decoder oracle.
+//! result **byte-for-byte**, and the fused copy-and-encode tile loop must
+//! equal a separate copy, zero-pad and `matrix_mul_into` at every pool
+//! width. Reconstruction runs on the same fused products and is checked per
+//! erasure pattern in `drc_codes`' decoder oracle.
 //!
 //! Buffers are sized past `slice::PAR_ENGAGE_MIN` with slack, so the
 //! parallel split actually engages and the last range is a partial one (the
@@ -59,5 +61,56 @@ proptest! {
             slice::linear_combination_into(&coeffs, &blocks, &mut parallel)
         });
         prop_assert_eq!(serial, parallel);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn fused_copy_encode_matches_copy_pad_then_matrix_mul(
+        k in 1usize..7,
+        m in 0usize..4,
+        tiles in 0usize..24,
+        extra in 0usize..slice::TILE,
+        cut in any::<u64>(),
+        threads in 1usize..5,
+        coeff_seed in any::<u8>(),
+    ) {
+        // Block lengths straddle TILE boundaries and PAR_ENGAGE_MIN; the
+        // file ends anywhere in the stripe, so sources run from full blocks
+        // through one cut mid-block to empty ones.
+        let len = tiles * slice::TILE + extra;
+        let file = shard((cut % (k * len + 1) as u64) as usize, 11);
+        let sources: Vec<&[u8]> = (0..k)
+            .map(|j| &file[(j * len).min(file.len())..((j + 1) * len).min(file.len())])
+            .collect();
+        let coeffs: Vec<Gf256> = (0..m * k)
+            .map(|i| match (i + coeff_seed as usize) % 4 {
+                0 => Gf256::ZERO,
+                1 => Gf256::ONE,
+                _ => Gf256::new(coeff_seed.wrapping_mul(29).wrapping_add(i as u8)),
+            })
+            .collect();
+
+        let padded: Vec<Vec<u8>> = sources
+            .iter()
+            .map(|src| {
+                let mut block = src.to_vec();
+                block.resize(len, 0);
+                block
+            })
+            .collect();
+        let mut expected = vec![vec![0u8; len]; m];
+        rayon::with_num_threads(1, || slice::matrix_mul_into(&coeffs, k, &padded, &mut expected));
+
+        // Poisoned outputs: every byte must be overwritten.
+        let mut data = vec![vec![0xA5u8; len]; k];
+        let mut parities = vec![vec![0x5Au8; len]; m];
+        rayon::with_num_threads(threads, || {
+            slice::copy_mul_into(&coeffs, &sources, &mut data, &mut parities)
+        });
+        prop_assert_eq!(data, padded);
+        prop_assert_eq!(parities, expected);
     }
 }

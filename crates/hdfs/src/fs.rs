@@ -66,7 +66,7 @@ use serde::{Deserialize, Serialize};
 use drc_cluster::{
     Cluster, ClusterSpec, FailureEventKind, FailureTrace, NodeId, PlacementMap, PlacementPolicy,
 };
-use drc_codes::{CodeKind, ErasureCode, ReadSource, StripeEncoder, StripeReconstructor};
+use drc_codes::{encode_stripe, CodeKind, ErasureCode, ReadSource, StripeReconstructor};
 use drc_gf::slice::{matrix_mul_batch, MatrixMulTask};
 use drc_sim::{
     chunk_sizes, ClusterNet, EventQueue, Schedule, SimDuration, SimTime, Timeline, VirtualClock,
@@ -189,9 +189,6 @@ pub struct DistributedFileSystem {
     namenode: NameNode,
     datanodes: BTreeMap<NodeId, DataNode>,
     code_cache: BTreeMap<CodeKind, Arc<dyn ErasureCode>>,
-    /// Reusable parity scratch: stripe encodes allocate nothing in steady
-    /// state (the write path and the RaidNode encode stripe after stripe).
-    encoder: StripeEncoder,
     /// The cluster-wide resource model (per-node disks and NICs plus the
     /// shared LAN fabric). The DataNodes hold clones of this `Arc`, and
     /// [`DistributedFileSystem::cluster_net`] hands the same model to other
@@ -242,7 +239,6 @@ impl DistributedFileSystem {
             namenode: NameNode::new(),
             datanodes,
             code_cache: BTreeMap::new(),
-            encoder: StripeEncoder::new(),
             net,
             clock: VirtualClock::new(),
             timeline: Timeline::new(),
@@ -359,42 +355,24 @@ impl DistributedFileSystem {
         let mut bytes_moved = 0u64;
         let mut write_end = issued;
         for stripe in 0..stripes {
-            let mut stripe_data: Vec<Vec<u8>> = Vec::with_capacity(k);
-            for b in 0..k {
-                let index = stripe * k + b;
-                let start = index * block_size;
-                // Pooled and pre-zeroed: a short tail block keeps its zero
-                // padding without an explicit fill.
-                let mut block = drc_gf::bufpool::take(block_size);
-                if start < data.len() {
-                    let end = (start + block_size).min(data.len());
-                    block[..end - start].copy_from_slice(&data[start..end]);
-                }
-                stripe_data.push(block);
-            }
-            // Shard-parallel encode into pooled scratch reused across
-            // stripes (and across files).
-            let parities = self.encoder.encode(code.as_ref(), &stripe_data)?;
-            // The parity scratch is reused next stripe, so parities are
-            // copied out — into pooled buffers; the data blocks move into
-            // their `Bytes` handles without a copy. Every payload returns
-            // to the pool when its last DataNode replica drops.
-            let parity_payloads: Vec<Bytes> = parities
-                .iter()
-                .map(|p| {
-                    let mut buf = drc_gf::bufpool::take(p.len());
-                    buf.copy_from_slice(p);
-                    Bytes::from(buf)
+            // The stripe's slices of the user bytes; the tail of the file
+            // yields a short slice and then empty ones.
+            let sources: Vec<&[u8]> = (0..k)
+                .map(|b| {
+                    let start = ((stripe * k + b) * block_size).min(data.len());
+                    &data[start..(start + block_size).min(data.len())]
                 })
                 .collect();
-            let data_payloads: Vec<Bytes> = stripe_data.into_iter().map(Bytes::from).collect();
-            for block_index in 0..code.distinct_blocks() {
+            // One shard-parallel pass copies the bytes into pooled blocks,
+            // zero-pads the tail and accumulates the parities; the blocks
+            // move into their `Bytes` handles without a copy and return to
+            // the pool when their last DataNode replica drops.
+            let payloads: Vec<Bytes> = encode_stripe(code.as_ref(), &sources, block_size)?
+                .into_iter()
+                .map(Bytes::from)
+                .collect();
+            for (block_index, content) in payloads.iter().enumerate() {
                 let key = BlockKey::new(id, stripe, block_index);
-                let content = if block_index < k {
-                    data_payloads[block_index].clone()
-                } else {
-                    parity_payloads[block_index - k].clone()
-                };
                 for &node in &meta.block_locations(stripe, block_index)? {
                     self.write_network_bytes += content.len() as u64;
                     bytes_moved += content.len() as u64;
@@ -433,9 +411,11 @@ impl DistributedFileSystem {
         for key in meta.content_block_keys() {
             let (block, done) = self.read_block_at(&meta, key.stripe, key.block, issued)?;
             read_end = read_end.max(done);
-            out.extend_from_slice(&block);
+            // Append only the file's bytes: the last block's padding would
+            // outgrow the exact-size reservation and reallocate.
+            let want = block.len().min(meta.size as usize - out.len());
+            out.extend_from_slice(&block[..want]);
         }
-        out.truncate(meta.size as usize);
         // Phase bytes are disjoint: reconstruction traffic is already on the
         // `degraded-read:` phases this read spawned, so the aggregate phase
         // carries only the replica-read bytes (summing both prefixes equals
